@@ -77,8 +77,8 @@ GhostDB::GhostDB(GhostDBConfig config)
   // same fault schedule; Build() reseeds each onto its own lane and arms
   // them once loading is done.
   config_.device.fault = config_.fault_config;
-  device_ = std::make_unique<device::SecureDevice>(config_.device);
-  allocator_ = std::make_unique<storage::PageAllocator>(&device_->flash());
+  // Shard 0 exists from the start, so device() works before Build().
+  shards_.push_back(std::make_unique<Shard>(config_.device));
 }
 
 GhostDB::~GhostDB() = default;
@@ -165,9 +165,6 @@ Status GhostDB::Build() {
       staged_.emplace_back(&schema_, t);
     }
   }
-  untrusted_ = std::make_unique<untrusted::UntrustedEngine>(
-      &schema_, &device_->channel());
-  untrusted_->set_pool(pool_.get());
   if (config_.indexed_attrs_by_name.has_value()) {
     std::map<TableId, std::vector<catalog::ColumnId>> resolved;
     for (const auto& [table_name, columns] :
@@ -188,59 +185,43 @@ Status GhostDB::Build() {
   // Sharded fleets: hash-partition the root's rows across the devices
   // (every other table replicates) and install each shard's local→global
   // id map on both sides of its channel — Secure renders global anchor
-  // ids, Untrusted evaluates id predicates against them.
+  // ids, Untrusted evaluates id predicates against them. A fleet of one
+  // loads the staged data as is, with no global ids.
+  const bool sharded = config_.shard_count > 1;
   ShardedStaging parts;
-  const std::vector<TableData>* shard0_staged = &staged_;
-  if (config_.shard_count > 1) {
+  if (sharded) {
     GHOSTDB_ASSIGN_OR_RETURN(
         parts,
         PartitionStagedByRoot(schema_, staged_, config_.shard_count));
-    shard0_staged = &parts.shards[0];
     if (schema_.table_count() > 0) {
       fleet_anchor_rows_ = staged_[schema_.root()].row_count();
     }
   }
-  {
-    Loader loader(&schema_, device_.get(), allocator_.get(),
-                  untrusted_.get(), config_.loader);
-    GHOSTDB_ASSIGN_OR_RETURN(store_, loader.Load(*shard0_staged));
-  }
-  if (config_.shard_count > 1 && schema_.table_count() > 0) {
-    TableId root = schema_.root();
-    store_.tables[root].global_ids = parts.root_global_ids[0];
-    GHOSTDB_RETURN_NOT_OK(untrusted_->store().SetGlobalIds(
-        root, parts.root_global_ids[0]));
-  }
-  executor_ = std::make_unique<exec::SecureExecutor>(
-      device_.get(), allocator_.get(), &schema_, &store_, untrusted_.get(),
-      config_.exec, pool_.get());
-  for (uint32_t s = 1; s < config_.shard_count; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->device = std::make_unique<device::SecureDevice>(config_.device);
-    shard->allocator =
-        std::make_unique<storage::PageAllocator>(&shard->device->flash());
-    shard->untrusted = std::make_unique<untrusted::UntrustedEngine>(
-        &schema_, &shard->device->channel());
-    shard->untrusted->set_pool(pool_.get());
-    Loader loader(&schema_, shard->device.get(), shard->allocator.get(),
-                  shard->untrusted.get(), config_.loader);
-    GHOSTDB_ASSIGN_OR_RETURN(shard->store, loader.Load(parts.shards[s]));
-    if (schema_.table_count() > 0) {
+  // Shards load in order, each device created just before its load.
+  for (uint32_t s = 0; s < config_.shard_count; ++s) {
+    if (s > 0) shards_.push_back(std::make_unique<Shard>(config_.device));
+    Shard& shard = *shards_[s];
+    shard.untrusted = std::make_unique<untrusted::UntrustedEngine>(
+        &schema_, &shard.device->channel());
+    shard.untrusted->set_pool(pool_.get());
+    Loader loader(&schema_, shard.device.get(), shard.allocator.get(),
+                  shard.untrusted.get(), config_.loader);
+    GHOSTDB_ASSIGN_OR_RETURN(shard.store,
+                             loader.Load(sharded ? parts.shards[s] : staged_));
+    if (sharded && schema_.table_count() > 0) {
       TableId root = schema_.root();
-      shard->store.tables[root].global_ids = parts.root_global_ids[s];
-      GHOSTDB_RETURN_NOT_OK(shard->untrusted->store().SetGlobalIds(
+      shard.store.tables[root].global_ids = parts.root_global_ids[s];
+      GHOSTDB_RETURN_NOT_OK(shard.untrusted->store().SetGlobalIds(
           root, parts.root_global_ids[s]));
     }
-    shard->executor = std::make_unique<exec::SecureExecutor>(
-        shard->device.get(), shard->allocator.get(), &schema_,
-        &shard->store, shard->untrusted.get(), config_.exec, pool_.get());
-    extra_shards_.push_back(std::move(shard));
+    shard.executor = std::make_unique<exec::SecureExecutor>(
+        shard.device.get(), shard.allocator.get(), &schema_, &shard.store,
+        shard.untrusted.get(), config_.exec, pool_.get());
   }
   // The planner reads shard 0's store (statistics differ per shard only in
   // their samples; the plan is shared fleet-wide through the plan cache).
-  config_.planner.shard_count = config_.shard_count;
-  planner_ =
-      std::make_unique<plan::Planner>(&schema_, &store_, config_.planner);
+  planner_ = std::make_unique<plan::Planner>(&schema_, &shards_[0]->store,
+                                             config_.planner);
   if (!config_.retain_staged_data) {
     staged_.clear();
     staged_.shrink_to_fit();
@@ -273,7 +254,7 @@ Result<std::unique_ptr<Session>> GhostDB::OpenSession(
       options.name.empty() ? "s" + std::to_string(id) : options.name;
   uint32_t quota = options.ram_quota_buffers;
   if (quota == SessionOptions::kDefaultRamQuota) {
-    quota = std::max<uint32_t>(1, device_->ram().total_buffers() / 4);
+    quota = std::max<uint32_t>(1, device().ram().total_buffers() / 4);
   }
   // A session spans the fleet: the same quota is pledged on every shard's
   // RAM manager and the session registers with every shard's arbiter, so
@@ -345,7 +326,7 @@ Status GhostDB::ServeVisCounts(const sql::BoundQuery& query,
   for (TableId t : query.tables) {
     if (!query.HasVisiblePredicateOn(t)) continue;
     GHOSTDB_ASSIGN_OR_RETURN(
-        uint64_t count, untrusted_->ServeVisibleCount(query, t, prefetch));
+        uint64_t count, untrusted().ServeVisibleCount(query, t, prefetch));
     (*out)[t] = count;
   }
   return Status::OK();
@@ -377,11 +358,11 @@ Result<std::shared_ptr<const PreparedQuery>> GhostDB::Prepare(
     return Status::InvalidArgument("call Build() before Prepare()");
   }
   GHOSTDB_ASSIGN_OR_RETURN(sql::BoundQuery query, BindSelect(sql, nullptr));
-  device::AdmissionGuard admission(&device_->arbiter(), -1,
-                                              DeclaredShapeWeight(query));
+  device::AdmissionGuard admission(&device().arbiter(), -1,
+                                   DeclaredShapeWeight(query));
   // Planning consults Untrusted's visible counts, so the statement is
   // announced exactly as at execution time.
-  untrusted_->ReceiveQuery(query.sql);
+  untrusted().ReceiveQuery(query.sql);
   return PrepareBound(query, nullptr, nullptr);
 }
 
@@ -391,8 +372,37 @@ bool GhostDB::ShardFanout(const sql::BoundQuery& query) const {
   // non-root anchor reads only fully replicated tables, so shard 0 alone
   // holds the complete answer; EXPLAIN renders the plan without touching
   // data.
-  return !extra_shards_.empty() && !query.explain &&
+  return shards_.size() > 1 && !query.explain &&
          schema_.table_count() > 0 && query.anchor == schema_.root();
+}
+
+Result<exec::QueryResult> GhostDB::RunRecoverable(
+    Shard* shard,
+    const std::function<Result<exec::QueryResult>()>& attempt) const {
+  device::Channel& channel = shard->device->channel();
+  // Messages before this index (announcement, planning) survive a
+  // recovery; everything after belongs to the attempt being replayed.
+  const size_t transcript0 = channel.transcript_size();
+  Result<exec::QueryResult> r = attempt();
+  if (r.ok() || config_.exec.volume_padding == exec::VolumePadding::kOff ||
+      !device::FaultInjector::IsInjectedFault(r.status())) {
+    // Unpadded modes and genuine errors surface the leg's clean
+    // per-session Status.
+    return r;
+  }
+  // No-leak recovery: under the padded volume modes an injected fault must
+  // be invisible on the wire, because whether it fired depends on the
+  // flash-op count — hidden data. Erase the failed attempt's recorded span
+  // (under the admission, so no other session is touching the channel)
+  // and replay with the injector masked: the replay is a deterministic
+  // function of visible inputs, so the surviving transcript and padded
+  // volume are exactly the fault-free ones. The caller's metrics baseline
+  // predates the fault, so faults_injected / flash_retries still record
+  // what really happened.
+  channel.EraseTranscript(transcript0,
+                          channel.transcript_size() - transcript0);
+  device::FaultInjector::MaskScope mask(&shard->device->fault_injector());
+  return attempt();
 }
 
 Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
@@ -401,35 +411,50 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   if (!built_) {
     return Status::InvalidArgument("call Build() before querying");
   }
-  if (ShardFanout(query)) return RunSelectSharded(query, pinned, session);
   static const exec::SessionBinding kMainSession;
   const exec::SessionBinding* binding =
       session != nullptr ? &session->bindings_[0] : &kMainSession;
-  exec::EncodedRows deferred;
+  // Legs: every shard when the statement scatters, else shard 0 alone
+  // (it holds the complete answer).
+  const uint32_t legs = ShardFanout(query) ? shard_count() : 1;
+  Shard& coordinator = *shards_[0];
   PlanCache::Outcome outcome;
-  bool cached_path = pinned == nullptr;
-  // PC-side speculation, before asking for the device: the visible
-  // answers this query will request are pure functions of the (already
-  // announced-to-be) visible statement, so the PC evaluates them while
-  // the key is still serving other sessions. Channel messages are
-  // recorded when the key requests them, unchanged in every byte.
-  untrusted::VisPrefetch prefetch;
+  // PC-side speculation, per leg, before asking for any device: each
+  // Untrusted pre-evaluates the visible answers its device will request —
+  // pure functions of the (already announced-to-be) visible statement and
+  // its own slice — while the key is still serving other sessions.
+  // Channel messages are recorded when the key requests them, unchanged in
+  // every byte.
+  std::vector<untrusted::VisPrefetch> prefetch(legs);
   if (!query.explain) {
-    GHOSTDB_ASSIGN_OR_RETURN(prefetch,
-                             untrusted_->PrefetchVisible(query));
+    for (uint32_t s = 0; s < legs; ++s) {
+      GHOSTDB_ASSIGN_OR_RETURN(
+          prefetch[s], shards_[s]->untrusted->PrefetchVisible(query));
+    }
   }
+  exec::EncodedRows deferred;
   Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
-    // Admission = the device. Everything in this scope — baseline
-    // snapshot, announcement, planning round-trips, execution — runs with
-    // exclusive device access under this session's transcript tag.
-    device::AdmissionGuard admission(&device_->arbiter(),
-                                                binding->id,
-                                                DeclaredShapeWeight(query));
+    // Admission = the coordinator device. Everything in this scope —
+    // baseline snapshot, announcement, planning round-trips, shard 0's
+    // leg and the gather — runs with exclusive access to it under this
+    // session's transcript tag, so its transcript is one deterministic
+    // block.
+    device::AdmissionGuard admission(&coordinator.device->arbiter(),
+                                     binding->id,
+                                     DeclaredShapeWeight(query));
     exec::MetricSnapshot baseline =
-        exec::MetricSnapshot::Take(device_.get());
+        exec::MetricSnapshot::Take(coordinator.device.get());
     // The query text is the only information that leaves the key.
-    untrusted_->ReceiveQuery(query.sql);
+    coordinator.untrusted->ReceiveQuery(query.sql);
 
+    // Pinned runs serve the Vis counts like a planner run would, so their
+    // transcripts and metrics stay comparable across strategies, and pad
+    // like a planned run, so their observed volume is the same.
+    auto pin = [&] {
+      return plan::BuildPhysicalPlan(
+          query, *pinned, config_.exec.topk_fusion,
+          config_.exec.volume_padding != exec::VolumePadding::kOff);
+    };
     if (query.explain) {
       // EXPLAIN always plans afresh (never touches the cache): a cached
       // tree would render the literals and selectivities of the statement
@@ -438,8 +463,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, nullptr, &vis_counts));
       plan::PhysicalPlan plan;
       if (pinned != nullptr) {
-        plan = plan::BuildPhysicalPlan(query, *pinned,
-                                       config_.exec.topk_fusion);
+        plan = pin();
       } else {
         GHOSTDB_ASSIGN_OR_RETURN(
             plan, planner_->PlanQuery(query, vis_counts, config_.exec));
@@ -452,63 +476,30 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
       return result;
     }
 
-    // Messages before this index (the announcement) survive a fault
-    // recovery; everything after belongs to the attempt being replayed.
-    const size_t transcript0 = device_->channel().transcript_size();
-
-    auto attempt = [&](bool replay) -> Result<exec::QueryResult> {
-      plan::PhysicalPlan local_plan;
-      std::shared_ptr<const PreparedQuery> prepared;
-      const plan::PhysicalPlan* plan = nullptr;
-      if (pinned != nullptr) {
-        // Pinned runs serve the Vis counts like a planner run would, so
-        // their transcripts and metrics stay comparable across strategies.
-        std::map<TableId, uint64_t> vis_counts;
-        GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch, &vis_counts));
-        local_plan = plan::BuildPhysicalPlan(query, *pinned,
-                                             config_.exec.topk_fusion);
-        plan = &local_plan;
-      } else if (replay && !outcome.hit) {
-        // The failed attempt already filled (miss) or re-stamped (replan)
-        // the plan cache, so a plain re-Prepare would hit and skip the
-        // vis-count exchange the fault-free transcript contains. Serve the
-        // counts and plan directly, bypassing the cache, to re-emit the
-        // exact wire sequence of the first attempt.
-        std::map<TableId, uint64_t> vis_counts;
-        GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch, &vis_counts));
-        GHOSTDB_ASSIGN_OR_RETURN(
-            local_plan, planner_->PlanQuery(query, vis_counts, config_.exec));
-        plan = &local_plan;
-      } else {
-        GHOSTDB_ASSIGN_OR_RETURN(
-            prepared,
-            PrepareBound(query, &prefetch, replay ? nullptr : &outcome));
-        plan = &prepared->plan;  // the held snapshot keeps the plan alive
-      }
-      return executor_->Execute(query, *plan, &baseline, binding, &deferred,
-                                &prefetch);
-    };
-
-    Result<exec::QueryResult> r = attempt(false);
-    if (!r.ok() &&
-        config_.exec.volume_padding != exec::VolumePadding::kOff &&
-        device::FaultInjector::IsInjectedFault(r.status())) {
-      // No-leak recovery: under the padded volume modes an injected fault
-      // must be invisible on the wire, because whether it fired depends on
-      // the flash-op count — hidden data. Erase the failed attempt's
-      // recorded span and replay with the injector masked: the replay is a
-      // deterministic function of visible inputs, so the surviving
-      // transcript and padded volume are exactly the fault-free ones. The
-      // metrics baseline predates the fault, so faults_injected /
-      // flash_retries still record what really happened.
-      device::Channel& channel = device_->channel();
-      channel.EraseTranscript(transcript0,
-                              channel.transcript_size() - transcript0);
-      deferred = exec::EncodedRows{};
-      device::FaultInjector::MaskScope mask(&device_->fault_injector());
-      r = attempt(true);
+    // Plan once, ahead of every recoverable span: planning reaches only
+    // the channel-stall fault site, which never fails, so a recovery
+    // never needs to replay it.
+    plan::PhysicalPlan pinned_plan;
+    std::shared_ptr<const PreparedQuery> prepared;
+    const plan::PhysicalPlan* plan = &pinned_plan;
+    if (pinned != nullptr) {
+      std::map<TableId, uint64_t> vis_counts;
+      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0], &vis_counts));
+      pinned_plan = pin();
+    } else {
+      GHOSTDB_ASSIGN_OR_RETURN(prepared,
+                               PrepareBound(query, &prefetch[0], &outcome));
+      plan = &prepared->plan;  // the held snapshot keeps the plan alive
     }
-    return r;
+    if (legs > 1) {
+      return RunFanout(query, *plan, baseline, session, &prefetch,
+                       &deferred);
+    }
+    return RunRecoverable(&coordinator, [&]() {
+      deferred = exec::EncodedRows{};
+      return coordinator.executor->Execute(query, *plan, &baseline, binding,
+                                           &deferred, &prefetch[0]);
+    });
   }();
   if (!result.ok() || query.explain) return result;
   // The rendering half of the surface: decode the captured cells to
@@ -516,7 +507,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   // overlaps the next session's device work. Purely local — the decode
   // can touch nothing observable.
   deferred.DecodeInto(&result.ValueUnsafe());
-  if (cached_path) {
+  if (pinned == nullptr) {
     result.ValueUnsafe().metrics.plan_cache_hits = outcome.hit ? 1 : 0;
     result.ValueUnsafe().metrics.plan_cache_replans =
         outcome.replanned ? 1 : 0;
@@ -526,222 +517,127 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
   return result;
 }
 
-Result<exec::QueryResult> GhostDB::RunSelectSharded(
-    const sql::BoundQuery& query, const plan::PlanChoice* pinned,
-    const Session* session) {
+Result<exec::QueryResult> GhostDB::RunFanout(
+    const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
+    const exec::MetricSnapshot& baseline, const Session* session,
+    std::vector<untrusted::VisPrefetch>* prefetch,
+    exec::EncodedRows* deferred) {
   static const exec::SessionBinding kMainSession;
   const uint32_t shards = shard_count();
   auto binding_for = [&](uint32_t s) -> const exec::SessionBinding* {
     return session != nullptr ? &session->bindings_[s] : &kMainSession;
   };
-  auto executor_for = [&](uint32_t s) -> exec::SecureExecutor* {
-    return s == 0 ? executor_.get() : extra_shards_[s - 1]->executor.get();
-  };
   const uint32_t weight = DeclaredShapeWeight(query);
-  PlanCache::Outcome outcome;
-  bool cached_path = pinned == nullptr;
-
-  // PC-side speculation, per shard: each Untrusted holds its own visible
-  // slice, so each one pre-evaluates the visible answers its device will
-  // request — before any admission, exactly like the single-device path.
-  std::vector<untrusted::VisPrefetch> prefetch(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    GHOSTDB_ASSIGN_OR_RETURN(prefetch[s],
-                             shard_untrusted(s).PrefetchVisible(query));
+  int boundary = exec::FindFanoutBoundary(plan);
+  if (boundary < 0) {
+    return Status::Internal("sharded plan has no fan-out boundary");
   }
+  bool agg_boundary =
+      plan.nodes[boundary].op == plan::PhysicalOp::kAggregate ||
+      plan.nodes[boundary].op == plan::PhysicalOp::kGroupAggregate;
 
+  // Scatter: every shard runs the plan's subtree at/below the boundary
+  // over its own slice. Shards 1..N-1 go on their own threads under their
+  // own arbiters (independent devices admit independently); shard 0's leg
+  // runs on this thread under the coordinator's admission. Each leg
+  // recovers from its own faults on its own thread, under its own
+  // admission, measured from a baseline taken before its first attempt.
   std::vector<std::vector<exec::PartialAggGroup>> shard_partials(shards);
   std::vector<exec::EncodedRows> shard_rows(shards);
-  exec::EncodedRows deferred;  // the gather pass's rendering surface
-  Result<exec::QueryResult> result = [&]() -> Result<exec::QueryResult> {
-    // Shard 0 is the coordinator: one admission covers its announcement,
-    // the (shared) planning round-trips, its own scatter leg, and the
-    // gather pass, so its transcript is a single deterministic block.
-    device::AdmissionGuard admission(&device_->arbiter(),
-                                                binding_for(0)->id, weight);
-    exec::MetricSnapshot baseline0 =
-        exec::MetricSnapshot::Take(device_.get());
-    untrusted_->ReceiveQuery(query.sql);
-
-    plan::PhysicalPlan pinned_plan;
-    std::shared_ptr<const PreparedQuery> prepared;
-    const plan::PhysicalPlan* plan = nullptr;
-    if (pinned != nullptr) {
-      std::map<TableId, uint64_t> vis_counts;
-      GHOSTDB_RETURN_NOT_OK(ServeVisCounts(query, &prefetch[0],
-                                           &vis_counts));
-      pinned_plan = plan::BuildPhysicalPlan(
-          query, *pinned, config_.exec.topk_fusion,
-          config_.exec.volume_padding != exec::VolumePadding::kOff);
-      pinned_plan.shard_fanout = true;
-      plan = &pinned_plan;
-    } else {
-      GHOSTDB_ASSIGN_OR_RETURN(prepared,
-                               PrepareBound(query, &prefetch[0], &outcome));
-      plan = &prepared->plan;
+  std::vector<Result<exec::QueryResult>> legs(
+      shards, Result<exec::QueryResult>(Status::Internal("scatter leg unset")));
+  auto run_leg = [&](uint32_t s) {
+    Shard& shard = *shards_[s];
+    std::optional<device::AdmissionGuard> admission;
+    if (s != 0) {
+      admission.emplace(&shard.device->arbiter(), binding_for(s)->id,
+                        weight);
     }
-    int boundary = exec::FindFanoutBoundary(*plan);
-    if (boundary < 0) {
-      return Status::Internal("sharded plan has no fan-out boundary");
-    }
-    bool agg_boundary =
-        plan->nodes[boundary].op == plan::PhysicalOp::kAggregate ||
-        plan->nodes[boundary].op == plan::PhysicalOp::kGroupAggregate;
-
-    // Scatter: every shard runs the plan's subtree at/below the boundary
-    // over its own slice. Shards 1..N-1 go on their own threads under
-    // their own arbiters (independent devices admit independently); the
-    // coordinator runs shard 0's leg on this thread under the admission
-    // already held.
-    std::vector<Result<exec::QueryResult>> legs(
-        shards,
-        Result<exec::QueryResult>(Status::Internal("scatter leg unset")));
-    // Per-leg recovery state: the metrics baseline a masked re-run reuses
-    // (so the fault counters and clock still cover the failed attempt) and
-    // the [first, end) span of the leg's messages in its shard's
-    // transcript (what a recovery erases).
-    std::vector<exec::MetricSnapshot> leg_base(shards);
-    std::vector<std::pair<size_t, size_t>> leg_span(shards, {0, 0});
-    auto run_leg = [&](uint32_t s, bool masked) {
-      exec::FanoutParams params;
-      params.role = exec::FanoutParams::Role::kScatter;
-      if (agg_boundary) params.partials_out = &shard_partials[s];
-      exec::EncodedRows* rows_out =
-          agg_boundary ? nullptr : &shard_rows[s];
-      device::SecureDevice& dev = shard_device(s);
-      std::optional<device::AdmissionGuard> leg_admission;
-      if (s != 0) {
-        leg_admission.emplace(&dev.arbiter(), binding_for(s)->id, weight);
-      }
-      std::optional<device::FaultInjector::MaskScope> mask;
-      if (masked) {
-        // Masked recovery re-run (sequential, on the coordinator thread):
-        // wipe the failed attempt's wire image first — under the
-        // admission, so no other session can be touching the channel —
-        // then replay with the schedule suppressed.
-        dev.channel().EraseTranscript(
-            leg_span[s].first, leg_span[s].second - leg_span[s].first);
-        mask.emplace(&dev.fault_injector());
-      } else {
-        leg_base[s] = s == 0 ? baseline0 : exec::MetricSnapshot::Take(&dev);
-      }
-      leg_span[s].first = dev.channel().transcript_size();
+    const exec::MetricSnapshot leg_base =
+        s == 0 ? baseline : exec::MetricSnapshot::Take(shard.device.get());
+    exec::FanoutParams params;
+    params.role = exec::FanoutParams::Role::kScatter;
+    if (agg_boundary) params.partials_out = &shard_partials[s];
+    legs[s] = RunRecoverable(&shard, [&]() -> Result<exec::QueryResult> {
+      shard_partials[s].clear();
+      shard_rows[s] = exec::EncodedRows{};
       // Whole-shard reset: the device drops out before a byte moves — the
       // leg dies with an empty transcript span and a tagged error while
       // its neighbors keep running.
-      if (dev.fault_injector().DrawShardReset()) {
-        leg_span[s].second = leg_span[s].first;
-        legs[s] = Status::IOError(std::string(device::FaultInjector::kTag) +
-                                  " shard " + std::to_string(s) +
-                                  " reset during scatter");
-        return;
+      if (shard.device->fault_injector().DrawShardReset()) {
+        return Status::IOError(std::string(device::FaultInjector::kTag) +
+                               " shard " + std::to_string(s) +
+                               " reset during scatter");
       }
-      if (s != 0) shard_untrusted(s).ReceiveQuery(query.sql);
-      legs[s] = executor_for(s)->Execute(query, *plan, &leg_base[s],
-                                         binding_for(s), rows_out,
-                                         &prefetch[s], &params);
-      leg_span[s].second = dev.channel().transcript_size();
-    };
-    std::vector<std::thread> threads;
+      if (s != 0) shard.untrusted->ReceiveQuery(query.sql);
+      return shard.executor->Execute(
+          query, plan, &leg_base, binding_for(s),
+          agg_boundary ? nullptr : &shard_rows[s], &(*prefetch)[s], &params);
+    });
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on every exit of the block
     threads.reserve(shards - 1);
-    for (uint32_t s = 1; s < shards; ++s) {
-      threads.emplace_back(run_leg, s, /*masked=*/false);
-    }
-    run_leg(0, /*masked=*/false);
-    for (auto& t : threads) t.join();
-    for (uint32_t s = 0; s < shards; ++s) {
-      if (legs[s].ok()) continue;
-      if (config_.exec.volume_padding == exec::VolumePadding::kOff ||
-          !device::FaultInjector::IsInjectedFault(legs[s].status())) {
-        // Graceful degradation without padding (or on a genuine error):
-        // the query fails with the leg's clean per-session Status; every
-        // other leg already finished, and nothing below holds resources.
-        return legs[s].status();
-      }
-      // Under padded modes a dead leg must be invisible: only this shard
-      // re-runs, masked, re-emitting its deterministic fault-free span.
-      if (agg_boundary) {
-        shard_partials[s].clear();
-      } else {
-        shard_rows[s] = exec::EncodedRows{};
-      }
-      run_leg(s, /*masked=*/true);
-      GHOSTDB_RETURN_NOT_OK(legs[s].status());
-    }
-
-    // Combine the shard outputs into the gather pass's input.
-    exec::FanoutParams gparams;
-    gparams.role = exec::FanoutParams::Role::kGather;
-    gparams.padding_row_bound_override = fleet_anchor_rows_;
-    std::vector<exec::PartialAggGroup> combined;
-    exec::GatherInput gather_input;
-    if (agg_boundary) {
-      GHOSTDB_ASSIGN_OR_RETURN(combined,
-                               CombineShardPartials(&shard_partials));
-      gparams.gather_partials = &combined;
-    } else {
-      uint64_t skipped = 0;
-      for (uint32_t s = 0; s < shards; ++s) {
-        skipped += legs[s]->total_rows - shard_rows[s].row_count;
-      }
-      gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(shard_rows));
-      gather_input.skipped_rows = skipped;
-      gparams.gather_rows = &gather_input;
-    }
-
-    // Gather on the coordinator: the plan's tail over the combined
-    // stream, measured from its own baseline. The baseline is taken once
-    // so a masked recovery re-run still reports the failed attempt's
-    // fault counters and clock; the gather inputs are const, so the tail
-    // is re-runnable after erasing the failed span.
-    exec::MetricSnapshot gather_base =
-        exec::MetricSnapshot::Take(device_.get());
-    const size_t gather0 = device_->channel().transcript_size();
-    Result<exec::QueryResult> gathered_r =
-        executor_->Execute(query, *plan, &gather_base, binding_for(0),
-                           &deferred, nullptr, &gparams);
-    if (!gathered_r.ok() &&
-        config_.exec.volume_padding != exec::VolumePadding::kOff &&
-        device::FaultInjector::IsInjectedFault(gathered_r.status())) {
-      device_->channel().EraseTranscript(
-          gather0, device_->channel().transcript_size() - gather0);
-      deferred = exec::EncodedRows{};
-      device::FaultInjector::MaskScope mask(&device_->fault_injector());
-      gathered_r =
-          executor_->Execute(query, *plan, &gather_base, binding_for(0),
-                             &deferred, nullptr, &gparams);
-    }
-    GHOSTDB_ASSIGN_OR_RETURN(exec::QueryResult gathered,
-                             std::move(gathered_r));
-
-    // Fleet metrics: channel/flash/QEP counters sum over every leg;
-    // wall-clock is the slowest scatter leg plus the gather tail (the
-    // legs' device clocks tick concurrently); the answer-volume fields
-    // are the gather's alone — scatter outputs are intermediate.
-    exec::QueryMetrics total;
-    SimNanos slowest_leg = 0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      total.Accumulate(legs[s]->metrics);
-      slowest_leg = std::max(slowest_leg, legs[s]->metrics.total_ns);
-    }
-    total.Accumulate(gathered.metrics);
-    total.total_ns = slowest_leg + gathered.metrics.total_ns;
-    total.result_rows = gathered.metrics.result_rows;
-    total.observed_volume = gathered.metrics.observed_volume;
-    total.padding_rows = gathered.metrics.padding_rows;
-    gathered.metrics = std::move(total);
-    return gathered;
-  }();
-  if (!result.ok()) return result;
-  deferred.DecodeInto(&result.ValueUnsafe());
-  if (cached_path) {
-    result.ValueUnsafe().metrics.plan_cache_hits = outcome.hit ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_replans =
-        outcome.replanned ? 1 : 0;
-    result.ValueUnsafe().metrics.plan_cache_misses =
-        outcome.hit || outcome.replanned ? 0 : 1;
+    for (uint32_t s = 1; s < shards; ++s) threads.emplace_back(run_leg, s);
+    run_leg(0);
   }
-  return result;
+  for (const Result<exec::QueryResult>& leg : legs) {
+    // Graceful degradation: the query fails with the leg's clean
+    // per-session Status; every other leg already finished.
+    GHOSTDB_RETURN_NOT_OK(leg.status());
+  }
+
+  // Combine the shard outputs into the gather pass's input.
+  exec::FanoutParams gparams;
+  gparams.role = exec::FanoutParams::Role::kGather;
+  gparams.padding_row_bound_override = fleet_anchor_rows_;
+  std::vector<exec::PartialAggGroup> combined;
+  exec::GatherInput gather_input;
+  if (agg_boundary) {
+    GHOSTDB_ASSIGN_OR_RETURN(combined, CombineShardPartials(&shard_partials));
+    gparams.gather_partials = &combined;
+  } else {
+    uint64_t skipped = 0;
+    for (uint32_t s = 0; s < shards; ++s) {
+      skipped += legs[s]->total_rows - shard_rows[s].row_count;
+    }
+    gather_input.rows = exec::MergeEncodedRowsBySeq(std::move(shard_rows));
+    gather_input.skipped_rows = skipped;
+    gparams.gather_rows = &gather_input;
+  }
+
+  // Gather on the coordinator: the plan's tail over the combined stream,
+  // measured from its own baseline. The gather inputs are const, so the
+  // tail is re-runnable by the recovery.
+  Shard& coordinator = *shards_[0];
+  const exec::MetricSnapshot gather_base =
+      exec::MetricSnapshot::Take(coordinator.device.get());
+  GHOSTDB_ASSIGN_OR_RETURN(
+      exec::QueryResult gathered,
+      RunRecoverable(&coordinator, [&]() {
+        *deferred = exec::EncodedRows{};
+        return coordinator.executor->Execute(query, plan, &gather_base,
+                                             binding_for(0), deferred,
+                                             nullptr, &gparams);
+      }));
+
+  // Fleet metrics: channel/flash/QEP counters sum over every leg;
+  // wall-clock is the slowest scatter leg plus the gather tail (the legs'
+  // device clocks tick concurrently); the answer-volume fields are the
+  // gather's alone — scatter outputs are intermediate.
+  exec::QueryMetrics total;
+  SimNanos slowest_leg = 0;
+  for (uint32_t s = 0; s < shards; ++s) {
+    total.Accumulate(legs[s]->metrics);
+    slowest_leg = std::max(slowest_leg, legs[s]->metrics.total_ns);
+  }
+  total.Accumulate(gathered.metrics);
+  total.total_ns = slowest_leg + gathered.metrics.total_ns;
+  total.result_rows = gathered.metrics.result_rows;
+  total.observed_volume = gathered.metrics.observed_volume;
+  total.padding_rows = gathered.metrics.padding_rows;
+  gathered.metrics = std::move(total);
+  return gathered;
 }
 
 Result<uint64_t> GhostDB::DrainSessions(
@@ -768,7 +664,7 @@ Result<uint64_t> GhostDB::DrainSessions(
     // device; in fail-fast mode they end the drain like any other error.
     if (stop_on_error && any_error()) break;
     if (pending.empty()) break;
-    int32_t pick = device_->arbiter().PickNext(pending);
+    int32_t pick = device().arbiter().PickNext(pending);
     for (Session* s : sessions) {
       if (s->id() == pick) {
         s->RunHead();
@@ -787,7 +683,7 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   }
   // One baseline spans the whole batch: `total` reports the batch-wide
   // costs (statements still carry their own per-query metrics).
-  exec::MetricSnapshot baseline = exec::MetricSnapshot::Take(device_.get());
+  exec::MetricSnapshot baseline = exec::MetricSnapshot::Take(&device());
   // The degenerate scheduler case: one ephemeral session holding the whole
   // stream, no dedicated RAM partition (the batch runs from the shared
   // reserve, exactly like the sessionless path did).
@@ -815,8 +711,8 @@ Result<BatchResult> GhostDB::QueryBatch(const std::vector<std::string>& sqls) {
   // device. A sharded fleet has N independent clocks and channels, so the
   // per-statement sums (already fleet-wide: every leg's counters fold into
   // its statement's metrics) stand as the batch totals instead.
-  if (extra_shards_.empty()) {
-    baseline.Delta(device_.get(), &batch.total);
+  if (shards_.size() == 1) {
+    baseline.Delta(&device(), &batch.total);
   }
   return batch;
 }
@@ -844,15 +740,22 @@ Result<std::string> GhostDB::Explain(const std::string& sql) {
 }
 
 std::string GhostDB::StorageReport() const {
+  std::map<std::string, int64_t> by_tag;
+  uint64_t used = 0;
+  for (const auto& shard : shards_) {
+    for (const auto& [tag, pages] : shard->allocator->usage_by_tag()) {
+      by_tag[tag] += pages;
+    }
+    used += shard->allocator->used_pages();
+  }
   std::string out = "flash pages by structure:\n";
-  for (const auto& [tag, pages] : allocator_->usage_by_tag()) {
+  for (const auto& [tag, pages] : by_tag) {
     if (pages == 0) continue;
     out += "  " + tag + ": " + std::to_string(pages) + "\n";
   }
-  out += "total used: " + std::to_string(allocator_->used_pages()) +
-         " pages (" +
-         std::to_string(allocator_->used_pages() * 2048 / 1024 / 1024) +
-         " MiB)\n";
+  const uint64_t page_size = config_.device.flash.page_size;
+  out += "total used: " + std::to_string(used) + " pages (" +
+         std::to_string(used * page_size / 1024 / 1024) + " MiB)\n";
   return out;
 }
 

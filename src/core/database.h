@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -169,30 +170,35 @@ class GhostDB {
   /// worker_threads == 1).
   exec::ThreadPool* worker_pool() { return pool_.get(); }
   const catalog::Schema& schema() const { return schema_; }
-  device::SecureDevice& device() { return *device_; }
-  storage::PageAllocator& allocator() { return *allocator_; }
-  untrusted::UntrustedEngine& untrusted() { return *untrusted_; }
-  const SecureStore& store() const { return store_; }
+  /// Shard 0's stack — the whole database on a single device, the
+  /// coordinator on a fleet. The engine and store exist from Build().
+  device::SecureDevice& device() { return shard_device(0); }
+  storage::PageAllocator& allocator() { return shard_allocator(0); }
+  untrusted::UntrustedEngine& untrusted() { return shard_untrusted(0); }
+  const SecureStore& store() const { return shard_store(0); }
 
   /// Devices in the fleet (1 until Build() under a sharded config).
   uint32_t shard_count() const {
-    return static_cast<uint32_t>(1 + extra_shards_.size());
+    return static_cast<uint32_t>(shards_.size());
   }
-  /// Shard s's device / store / engine (shard 0 is the primary device the
-  /// unsharded accessors above return).
+  /// Shard s's device / allocator / store / engine.
   device::SecureDevice& shard_device(uint32_t s) {
-    return s == 0 ? *device_ : *extra_shards_[s - 1]->device;
+    return *shards_[s]->device;
+  }
+  storage::PageAllocator& shard_allocator(uint32_t s) {
+    return *shards_[s]->allocator;
   }
   const SecureStore& shard_store(uint32_t s) const {
-    return s == 0 ? store_ : extra_shards_[s - 1]->store;
+    return shards_[s]->store;
   }
   untrusted::UntrustedEngine& shard_untrusted(uint32_t s) {
-    return s == 0 ? *untrusted_ : *extra_shards_[s - 1]->untrusted;
+    return *shards_[s]->untrusted;
   }
   /// Staged data (only if retain_staged_data).
   const std::vector<TableData>& staged() const { return staged_; }
 
-  /// Storage report: live flash pages per structure tag.
+  /// Storage report: live flash pages per structure tag, summed over the
+  /// fleet.
   std::string StorageReport() const;
 
   /// Declares that the catalog statistics changed (e.g. a future update
@@ -213,11 +219,15 @@ class GhostDB {
  private:
   friend class Session;
 
-  /// One non-primary device of a sharded fleet: a full vertical stack —
-  /// device, allocator, Untrusted engine over its visible slice, Secure
-  /// store, executor. (Shard 0 lives in the primary members so the
-  /// unsharded accessors and single-device paths are untouched.)
+  /// One device of the fleet: a full vertical stack — device, allocator,
+  /// Untrusted engine over its visible slice, Secure store, executor. A
+  /// single-device database is a fleet of one.
   struct Shard {
+    /// Creates the device and its allocator; Build() adds the rest.
+    explicit Shard(const device::DeviceConfig& config)
+        : device(std::make_unique<device::SecureDevice>(config)),
+          allocator(
+              std::make_unique<storage::PageAllocator>(&device->flash())) {}
     std::unique_ptr<device::SecureDevice> device;
     std::unique_ptr<storage::PageAllocator> allocator;
     std::unique_ptr<untrusted::UntrustedEngine> untrusted;
@@ -228,23 +238,35 @@ class GhostDB {
   Result<sql::BoundQuery> BindSelect(const std::string& sql, bool* explain);
   /// True when `query` must scatter-gather across the fleet: only
   /// root-anchored statements read the partitioned table (a pure function
-  /// of the visible query shape, mirrored by PhysicalPlan::shard_fanout).
+  /// of the visible query shape). This is the only routing decision.
   bool ShardFanout(const sql::BoundQuery& query) const;
-  /// Full arbitrated execution of a bound SELECT: admission, baseline,
-  /// announcement, plan-cache consult (unless `pinned`), execution under
-  /// `session`'s identity (nullptr = the "main" pseudo-session).
+  /// Full arbitrated execution of a bound SELECT under `session`'s
+  /// identity (nullptr = the "main" pseudo-session). Shard 0 (the
+  /// coordinator) takes the admission, baseline and announcement and plans
+  /// once (plan cache unless `pinned`); then the plan runs whole on shard
+  /// 0, or — when ShardFanout() — as scatter legs on every shard followed
+  /// by the gather on shard 0 (RunFanout).
   Result<exec::QueryResult> RunSelect(const sql::BoundQuery& query,
                                       const plan::PlanChoice* pinned,
                                       const Session* session);
-  /// The scatter-gather orchestration of RunSelect for sharded fleets:
-  /// shard 0 (the coordinator) announces, plans, and runs its scatter leg
-  /// under one admission while shards 1..N-1 run theirs concurrently under
-  /// their own arbiters; the combined outputs (seq-merged rows or
-  /// key-merged partial aggregates) then drive the plan's tail on the
-  /// coordinator as the gather pass.
-  Result<exec::QueryResult> RunSelectSharded(const sql::BoundQuery& query,
-                                             const plan::PlanChoice* pinned,
-                                             const Session* session);
+  /// The fan-out half of RunSelect, under the coordinator's admission:
+  /// shard 0's scatter leg runs on this thread, shards 1..N-1 run theirs
+  /// concurrently under their own arbiters, and the combined outputs
+  /// (seq-merged rows or key-merged partial aggregates) drive the plan's
+  /// tail on the coordinator as the gather pass, rendered into `deferred`.
+  Result<exec::QueryResult> RunFanout(
+      const sql::BoundQuery& query, const plan::PhysicalPlan& plan,
+      const exec::MetricSnapshot& baseline, const Session* session,
+      std::vector<untrusted::VisPrefetch>* prefetch,
+      exec::EncodedRows* deferred);
+  /// Runs one device leg (`attempt` must reset its own outputs). Under a
+  /// padded volume mode an injected fault is recovered invisibly: the
+  /// failed attempt's transcript span on `shard` is erased and the attempt
+  /// replays with that device's faults masked. Caller holds the shard's
+  /// admission.
+  Result<exec::QueryResult> RunRecoverable(
+      Shard* shard,
+      const std::function<Result<exec::QueryResult>()>& attempt) const;
   /// Plan-cache lookup / fill for an already-bound (and announced) query.
   /// Caller holds the channel admission. `outcome` reports hit/replan.
   Result<std::shared_ptr<const PreparedQuery>> PrepareBound(
@@ -262,13 +284,10 @@ class GhostDB {
   GhostDBConfig config_;
   catalog::Schema schema_;
   std::vector<TableData> staged_;
-  std::unique_ptr<device::SecureDevice> device_;
-  std::unique_ptr<storage::PageAllocator> allocator_;
-  std::unique_ptr<exec::ThreadPool> pool_;  ///< outlives untrusted_/executor_
-  std::unique_ptr<untrusted::UntrustedEngine> untrusted_;
-  SecureStore store_;
-  std::unique_ptr<exec::SecureExecutor> executor_;
-  std::vector<std::unique_ptr<Shard>> extra_shards_;  ///< shards 1..N-1
+  std::unique_ptr<exec::ThreadPool> pool_;  ///< outlives the shards
+  /// The fleet. Shard 0 (device and allocator) exists from construction;
+  /// Build() completes it and adds shards 1..N-1.
+  std::vector<std::unique_ptr<Shard>> shards_;
   /// Fleet-wide root-table row count: the gather pass's volume-padding
   /// bound (each shard's local store only knows its own slice).
   uint64_t fleet_anchor_rows_ = 0;

@@ -125,12 +125,4 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
                       const RowComparator& cmp, bool drop_key_duplicates,
                       SpillStats* stats = nullptr);
 
-/// Merges row runs (sorted, disjoint leading-u32 keys) down to at most
-/// `target_count` runs — the id-space shape (SJoin output, projection
-/// position lists).
-Status MergeRowRuns(flash::FlashDevice* device, device::RamManager* ram,
-                    storage::PageAllocator* allocator,
-                    std::vector<storage::RunRef>* runs, uint32_t width,
-                    size_t target_count, const std::string& tag);
-
 }  // namespace ghostdb::exec

@@ -75,14 +75,6 @@ struct PhysicalPlan {
   /// only; the executor clamps it to the live pool's width. 0 = use the
   /// pool's full width.
   uint32_t parallelism = 0;
-  /// Scatter-gather root: on a sharded fleet (PlannerConfig::shard_count
-  /// > 1) the subtree at/below the fan-out boundary runs once per shard
-  /// and the tail runs on the gather device over the combined streams.
-  /// Stamped only for queries anchored at the partitioned (root) table —
-  /// every other anchor reads fully replicated tables, so a single shard
-  /// already holds the complete answer. Pure function of the visible query
-  /// shape and config, so it caches with the plan.
-  bool shard_fanout = false;
 
   /// Indented tree rendering (EXPLAIN).
   std::string ToString(const catalog::Schema& schema) const;

@@ -126,10 +126,6 @@ Result<PhysicalPlan> Planner::PlanQuery(
   plan.batch_rows = exec::SizeBatchRows(plan.value_layout, exec_config);
   // Parallelism degree: visible config only, so it caches with the plan.
   plan.parallelism = exec_config.worker_threads;
-  // Fleet fan-out: only root-anchored queries read the partitioned table;
-  // every other anchor resolves entirely within one shard's replica.
-  plan.shard_fanout =
-      config_.shard_count > 1 && query.anchor == schema_->root();
   return plan;
 }
 

@@ -27,10 +27,6 @@ struct PlannerConfig {
   /// Rule mode: Visible selectivity at or below this prefers Pre-filtering
   /// (the paper's crossover sits near 0.1; Fig 9/10).
   double pre_filter_threshold = 0.1;
-  /// Devices in the fleet (GhostDBConfig::shard_count, stamped by
-  /// core::GhostDB::Build). > 1 makes the planner annotate root-anchored
-  /// plans with a scatter-gather fan-out root (PhysicalPlan::shard_fanout).
-  uint32_t shard_count = 1;
 };
 
 /// \brief Chooses Visible-selection strategies and the projection

@@ -426,6 +426,24 @@ TEST_F(E2eTest, StorageReportListsStructures) {
   EXPECT_NE(report.find("skt:T0"), std::string::npos);
   EXPECT_NE(report.find("hidden:T0"), std::string::npos);
   EXPECT_NE(report.find("ci:T1.id"), std::string::npos);
+
+  // On a fleet the report covers every shard: its total is the sum of
+  // the per-shard allocators' live pages.
+  GhostDBConfig fleet_cfg = SmallConfig();
+  fleet_cfg.shard_count = 4;
+  GhostDB fleet(fleet_cfg);
+  BuildDb(&fleet);
+  ASSERT_EQ(fleet.shard_count(), 4u);
+  uint64_t used = 0;
+  for (uint32_t s = 0; s < fleet.shard_count(); ++s) {
+    used += fleet.shard_allocator(s).used_pages();
+  }
+  std::string fleet_report = fleet.StorageReport();
+  EXPECT_NE(fleet_report.find("total used: " + std::to_string(used) +
+                              " pages"),
+            std::string::npos)
+      << fleet_report;
+  EXPECT_NE(fleet_report.find("skt:T0"), std::string::npos);
 }
 
 // Property sweep: random small databases and random queries, GhostDB vs

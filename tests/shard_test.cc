@@ -20,6 +20,7 @@
 #include "core/database.h"
 #include "core/loader.h"
 #include "fuzz_common.h"
+#include "plan/strategy.h"
 
 namespace ghostdb {
 namespace {
@@ -254,14 +255,16 @@ TEST(ShardTest, ForcedSpillAnswersAreShardCountInvariant) {
 TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
   // Worst-case padding targets the fleet-wide anchor row count at the
   // gather (not any shard's local count), so the padded volume — and the
-  // stripped answer — must match the single-device run exactly.
+  // stripped answer — must match the single-device run exactly. A pinned
+  // plan (QueryWithPlan) pads exactly like a planned one at every shard
+  // count.
   const uint64_t kVisible = 777;
   for (auto mode : {exec::VolumePadding::kQuantize,
                     exec::VolumePadding::kWorstCase}) {
     SCOPED_TRACE(static_cast<int>(mode));
     std::vector<std::unique_ptr<GhostDB>> dbs;
     std::vector<GhostDB*> raw;
-    for (uint32_t shards : {1u, 3u}) {
+    for (uint32_t shards : {1u, 3u, 2u, 4u}) {
       GhostDBConfig cfg = ShardedFuzzConfig(kVisible, shards);
       cfg.exec.volume_padding = mode;
       cfg.exec.pad_spill_runs = true;
@@ -279,13 +282,29 @@ TEST(ShardTest, PaddedVolumeModesAreShardCountInvariant) {
          }) {
       SCOPED_TRACE(sql);
       auto r1 = raw[0]->Query(sql);
-      auto r3 = raw[1]->Query(sql);
       ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-      ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-      ExpectSameAnswer(*r1, *r3, sql);
-      // The defense itself must not weaken with the fleet: identical
-      // observed volumes, not just identical answers.
-      EXPECT_EQ(r1->metrics.padding_rows, r3->metrics.padding_rows) << sql;
+      for (size_t i = 1; i < raw.size(); ++i) {
+        SCOPED_TRACE("fleet #" + std::to_string(i));
+        auto rn = raw[i]->Query(sql);
+        ASSERT_TRUE(rn.ok()) << rn.status().ToString();
+        ExpectSameAnswer(*r1, *rn, sql);
+        // The defense itself must not weaken with the fleet: identical
+        // observed volumes, not just identical answers.
+        EXPECT_EQ(r1->metrics.padding_rows, rn->metrics.padding_rows) << sql;
+        EXPECT_EQ(r1->metrics.observed_volume, rn->metrics.observed_volume)
+            << sql;
+      }
+      for (size_t i = 0; i < raw.size(); ++i) {
+        SCOPED_TRACE("pinned, fleet #" + std::to_string(i));
+        auto pinned = raw[i]->QueryWithPlan(sql, plan::PlanChoice{});
+        ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+        ExpectSameAnswer(*r1, *pinned, sql);
+        EXPECT_EQ(r1->metrics.padding_rows, pinned->metrics.padding_rows)
+            << sql;
+        EXPECT_EQ(r1->metrics.observed_volume,
+                  pinned->metrics.observed_volume)
+            << sql;
+      }
     }
   }
 }
