@@ -6,10 +6,8 @@
 //   spilling     — a 1-buffer budget freezes the hash table almost
 //                  immediately; new groups reroute through sort-based
 //                  grouping on flash
-//   no-spill     — the same tiny budget with spilling disabled: can only
-//                  fail (ResourceExhausted) where the reroute completes
 //   grouped topk — ORDER BY SUM(..) DESC LIMIT k over the grouped output
-//                  (group spill feeding the fused top-K)
+//                  (group spill feeding the heap-bounded Sort)
 //   whole-result — the ungrouped Aggregate baseline over the same rows
 //
 // Wall-clock is real host time (grouping is host-side secure compute);
@@ -30,11 +28,10 @@ using ghostdb::catalog::Value;
 using ghostdb::core::GhostDB;
 using ghostdb::core::GhostDBConfig;
 
-GhostDBConfig MakeConfig(uint32_t budget_buffers, bool spill_enabled) {
+GhostDBConfig MakeConfig(uint32_t budget_buffers) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 64 * 1024;
   cfg.exec.sort_budget_buffers = budget_buffers;
-  cfg.exec.spill_enabled = spill_enabled;
   cfg.exec.result_row_limit = 4;  // results stay on the secure display
   return cfg;
 }
@@ -103,23 +100,21 @@ int main(int argc, char** argv) {
   struct Case {
     const char* name;
     uint32_t budget;
-    bool spill;
     const std::string* sql;
   };
   const Case cases[] = {
-      {"group_hash", 4096, true, &kGroupSql},
-      {"group_spilling_1buf", 1, true, &kGroupSql},
-      {"group_no_spill_1buf", 1, false, &kGroupSql},
-      {"group_topk_sum_desc", 4096, true, &kTopKSql},
-      {"group_topk_spilling_1buf", 1, true, &kTopKSql},
-      {"whole_result_aggregate", 4096, true, &kUngroupedSql},
+      {"group_hash", 4096, &kGroupSql},
+      {"group_spilling_1buf", 1, &kGroupSql},
+      {"group_topk_sum_desc", 4096, &kTopKSql},
+      {"group_topk_spilling_1buf", 1, &kTopKSql},
+      {"whole_result_aggregate", 4096, &kUngroupedSql},
   };
 
   std::printf("%-26s %12s %12s %10s %10s\n", "case", "wall_ms", "sim_s",
               "groups", "spills");
   double hash_ms = 0, spill_ms = 0;
   for (const Case& c : cases) {
-    GhostDB db(MakeConfig(c.budget, c.spill));
+    GhostDB db(MakeConfig(c.budget));
     BuildTable(&db, rows, groups);
     Timed t = Run(&db, *c.sql);
     if (!t.result.ok()) {
@@ -141,8 +136,8 @@ int main(int argc, char** argv) {
     if (std::string(c.name) == "group_spilling_1buf") spill_ms = t.wall_ms;
   }
   if (hash_ms > 0 && spill_ms > 0) {
-    std::printf("\nhash vs forced-spill wall-clock: %.2fx (spill completes "
-                "where no-spill fails)\n", spill_ms / hash_ms);
+    std::printf("\nhash vs forced-spill wall-clock: %.2fx\n",
+                spill_ms / hash_ms);
   }
   json.Write();
   return 0;

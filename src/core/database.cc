@@ -452,7 +452,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     // like a planned run, so their observed volume is the same.
     auto pin = [&] {
       return plan::BuildPhysicalPlan(
-          query, *pinned, config_.exec.topk_fusion,
+          query, *pinned,
           config_.exec.volume_padding != exec::VolumePadding::kOff);
     };
     if (query.explain) {

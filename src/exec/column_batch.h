@@ -2,9 +2,9 @@
 // (Project upward). A ColumnBatch holds one fixed-width encoded byte
 // column per output column — the same encodings catalog::Value::Encode
 // produces on flash — plus a selection vector, so filtering operators
-// (Distinct, Limit) drop rows without copying and comparison-heavy
-// operators (Sort, Distinct) work on encoded bytes via
-// catalog::CompareEncoded instead of materializing a Value per cell.
+// (DISTINCT's grouping, Limit) drop rows without copying and
+// comparison-heavy operators (Sort, GroupAggregate) work on encoded bytes
+// via catalog::CompareEncoded instead of materializing a Value per cell.
 //
 // Values are decoded exactly once, at the secure rendering surface
 // (SecureExecutor assembling the QueryResult). Nothing here touches the
@@ -57,7 +57,7 @@ struct BatchLayout {
 /// `rows` physical rows are stored per column; the live rows — the ones the
 /// batch logically carries, in stream order — are all physical rows unless
 /// `has_selection`, in which case `selection` lists their physical indexes
-/// (Sort emits a sorted permutation this way; Distinct/Limit emit subsets).
+/// (zero-aggregate grouping and Limit emit subsets this way).
 /// A batch carrying neither live nor skipped rows signals end of stream.
 struct ColumnBatch {
   const BatchLayout* layout = nullptr;
@@ -120,11 +120,8 @@ struct ColumnBatch {
   /// equality of the appended bytes coincides with Value equality: strings
   /// are space-padded, integers are bijective, and double zeros are
   /// canonicalized here (-0.0 == 0.0 with distinct bit patterns). The
-  /// building block of RowKey and GroupAggregateOp's group keys.
+  /// building block of GroupAggregateOp's group keys (DISTINCT included).
   void AppendCellKey(size_t c, uint32_t physical_row, std::string* out) const;
-  /// Concatenated canonical encoded bytes of one physical row — the
-  /// DISTINCT key.
-  void RowKey(uint32_t physical_row, std::string* out) const;
 };
 
 /// Rows per ColumnBatch for `layout` under `config`: the byte budget

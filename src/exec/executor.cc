@@ -90,7 +90,7 @@ Result<QueryResult> SecureExecutor::Execute(const BoundQuery& query,
                                             const SessionBinding* session) {
   return Execute(
       query,
-      plan::BuildPhysicalPlan(query, choice, config_.topk_fusion,
+      plan::BuildPhysicalPlan(query, choice,
                               config_.volume_padding != VolumePadding::kOff),
       baseline, session);
 }
@@ -182,11 +182,11 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
   ctx.rows_demanded =
       needs_all_values ? UINT64_MAX : config_.result_row_limit;
   // How many rows this run may materialize (render or defer). Scatter legs
-  // whose tail operators reorder or cut the stream (DISTINCT / ORDER BY /
-  // LIMIT) must ship *every* local row to the gather merge, so the
-  // per-shard cap lifts; plain scans keep it — any row of the global
-  // first-L prefix lies within its own shard's first-L, so per-shard
-  // prefix materialization plus skip counting reconstructs the answer.
+  // whose tail operators reorder or cut the stream (ORDER BY / LIMIT) must
+  // ship *every* local row to the gather merge, so the per-shard cap
+  // lifts; plain scans keep it — any row of the global first-L prefix
+  // lies within its own shard's first-L, so per-shard prefix
+  // materialization plus skip counting reconstructs the answer.
   uint64_t materialize_cap = config_.result_row_limit;
   if (scatter) {
     ctx.emit_row_seq = true;
@@ -211,7 +211,7 @@ Result<QueryResult> SecureExecutor::ExecuteTree(
     ctx.value_layout = &pinned_layout;
     ctx.batch_rows = SizeBatchRows(pinned_layout, config_);
   }
-  // Relational-tail budget: the working set Sort/Distinct/top-K may hold
+  // Relational-tail budget: the working set Sort/GroupAggregate may hold
   // in secure memory before spilling. Config override, else the session's
   // RAM partition — both visible inputs, so two databases differing only
   // in hidden data compute identical budgets (spill *timing* then depends

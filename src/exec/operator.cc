@@ -209,16 +209,10 @@ Result<std::unique_ptr<Operator>> BuildNode(ExecContext* ctx,
     case plan::PhysicalOp::kGroupAggregate:
       op = std::make_unique<GroupAggregateOp>(ctx);
       break;
-    case plan::PhysicalOp::kDistinct:
-      op = std::make_unique<DistinctOp>(ctx);
-      break;
     case plan::PhysicalOp::kSort:
-      op = std::make_unique<SortOp>(ctx);
-      break;
-    case plan::PhysicalOp::kTopKSort:
       // Like kLimit, k is a literal the cached (shape-keyed) plan
       // normalizes away — take it from the live bound query.
-      op = std::make_unique<TopKSortOp>(
+      op = std::make_unique<SortOp>(
           ctx, ctx->query->limit.value_or(node.limit));
       break;
     case plan::PhysicalOp::kLimit:

@@ -13,7 +13,7 @@
 //    pushes ids into SJoin through a sink, exactly the paper's pipelined
 //    Merge -> SJoin -> ProbeBF -> Store composition.
 //  * From the projection upward (Project/BruteForceProject, Aggregate,
-//    Distinct, Sort, Limit) operators exchange columnar ColumnBatches
+//    GroupAggregate, Sort, Limit) operators exchange columnar ColumnBatches
 //    (column_batch.h) via pull (Next()), which is where ORDER BY / LIMIT /
 //    DISTINCT and aggregation plug in. Cells stay in their fixed-width
 //    flash encodings end to end; Values are decoded once, at the secure
@@ -102,18 +102,12 @@ struct ExecConfig {
   size_t batch_bytes = 64 * 1024;
   uint32_t min_batch_rows = 16;
   uint32_t max_batch_rows = 4096;
-  /// Working-set budget of the blocking relational tail (Sort, Distinct,
-  /// top-K), in device buffers. 0 = derive from the session's RAM
+  /// Working-set budget of the blocking relational tail (Sort,
+  /// GroupAggregate), in device buffers. 0 = derive from the session's RAM
   /// partition (its pledged quota, or the shared reserve when the session
   /// pledged none) — visible inputs only, so the budget is cacheable.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
-  /// Past the budget: spill sorted runs to flash and stream the merge
-  /// (true), or fail with ResourceExhausted (false — the pre-spill
-  /// behavior, kept for comparison benches and tests).
-  bool spill_enabled = true;
-  /// Planner rewrite: fuse Sort -> Limit k into a bounded top-K heap.
-  bool topk_fusion = true;
   /// Parallelism degree for morsel-driven host-side work (visible scans,
   /// spill-generation sorts, batch key extraction). 0 = inherit the
   /// database-wide GhostDBConfig::worker_threads (stamped by
@@ -163,8 +157,9 @@ struct QueryMetrics {
   uint64_t sort_spill_runs = 0;
   /// Flash pages those spill runs occupied.
   uint64_t sort_spill_pages = 0;
-  /// Rows the fused top-K sort rejected against the heap top without
-  /// buffering — the work a full sort would have materialized.
+  /// Rows the bounded (ORDER BY ... LIMIT k) Sort rejected against its
+  /// heap top without buffering — the work a full sort would have
+  /// materialized.
   uint64_t topk_short_circuits = 0;
   /// Result volume a downstream observer sees: result_rows plus the dummy
   /// rows the padding mode emitted (== result_rows with padding off). The
@@ -312,9 +307,9 @@ struct ExecContext {
   /// planner (SizeBatchRows) from the output row width.
   uint32_t batch_rows = 256;
   /// Byte budget for the blocking relational tail's secure working set
-  /// (Sort/Distinct/top-K). Derived by the executor from ExecConfig and
+  /// (Sort/GroupAggregate). Derived by the executor from ExecConfig and
   /// the session's RAM partition — a pure function of visible inputs.
-  /// Exceeding it spills (spill_enabled) or fails.
+  /// Exceeding it spills sorted runs to flash.
   size_t sort_budget_bytes = SIZE_MAX;
   /// How many materialized rows the consumer can use. When the plan has no
   /// value-level operators above the projection, the driver caps this at

@@ -279,8 +279,7 @@ Status ProjectOp::Open() {
       for (auto& mt : mjoin_) {
         GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(
             &ctx_->flash(), &ram, ctx_->allocator, &mt.pass_runs,
-            mt.out_width, 1, "project-out", RowComparator::LeadingU32(),
-            /*drop_key_duplicates=*/false));
+            mt.out_width, 1, "project-out", RowComparator::LeadingU32()));
       }
     }
   }

@@ -65,16 +65,16 @@ void AppendSpillRow(ColumnBatch* out, const std::vector<uint32_t>& offsets,
   out->CommitRow();
 }
 
-/// Morsel-parallel canonical-key extraction for the hash phases of
-/// Distinct/GroupAggregate: keys of every live row land in index-addressed
-/// slots of `keys` (reused across batches), computed across the pool.
-/// `key_items` selects the key columns (null = whole row). The fold loop
-/// that consumes the keys stays sequential — the spill-trip row, the
-/// first-arrival group order, and the FP accumulation order are observable
-/// contract, so only this pure per-row compute may fan out.
+/// Morsel-parallel canonical-key extraction for GroupAggregate's hash
+/// phase: keys (the `key_items` columns) of every live row land in
+/// index-addressed slots of `keys` (reused across batches), computed
+/// across the pool. The fold loop that consumes the keys stays sequential
+/// — the spill-trip row, the first-arrival group order, and the FP
+/// accumulation order are observable contract, so only this pure per-row
+/// compute may fan out.
 GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
                                       const ColumnBatch& batch,
-                                      const std::vector<size_t>* key_items,
+                                      const std::vector<size_t>& key_items,
                                       std::vector<std::string>* keys) {
   size_t n = batch.live();
   keys->resize(n);
@@ -83,11 +83,7 @@ GHOSTDB_HOST_COMPUTE void ExtractKeys(ExecContext* ctx,
       std::string& key = (*keys)[r];
       key.clear();
       uint32_t row = batch.row_at(r);
-      if (key_items == nullptr) {
-        batch.RowKey(row, &key);
-      } else {
-        for (size_t i : *key_items) batch.AppendCellKey(i, row, &key);
-      }
+      for (size_t i : key_items) batch.AppendCellKey(i, row, &key);
     }
   };
   constexpr uint64_t kKeyGrain = 256;
@@ -113,13 +109,13 @@ void AppendCanonicalCellKey(catalog::DataType type, uint32_t width,
   out->append(reinterpret_cast<const char*>(src), width);
 }
 
-/// Row width of the batches a tail operator (Sort/Distinct/TopK) consumes:
-/// the (group-)aggregate output width when the plan aggregates below the
-/// tail, else the projection's value layout. A pure function of the
-/// visible query shape — the strict spill-run padding passes must size
-/// their dummy rows from this, never from a live batch, or the padding
-/// itself would become hidden-dependent (an empty hidden-filtered stream
-/// binds no live layout).
+/// Row width of the batches Sort consumes: the (group-)aggregate output
+/// width when the plan aggregates below it, else the projection's value
+/// layout (zero-aggregate grouping keeps the input encoding). A pure
+/// function of the visible query shape — the strict spill-run padding
+/// passes must size their dummy rows from this, never from a live batch,
+/// or the padding itself would become hidden-dependent (an empty
+/// hidden-filtered stream binds no live layout).
 uint32_t TailInputRowWidth(const ExecContext* ctx) {
   const sql::BoundQuery& q = *ctx->query;
   if (!q.HasAggregates()) return ctx->value_layout->row_width;
@@ -259,8 +255,11 @@ namespace {
 
 /// Budget estimate for one resident hash group: the canonical map key plus
 /// the raw key cells (both key_width bytes), the accumulators, and a fixed
-/// container overhead. A pure function of the visible query shape.
+/// container overhead. A group with no aggregates is final at its first
+/// arrival and keeps only its canonical key. A pure function of the visible
+/// query shape.
 size_t GroupBytes(size_t key_width, size_t agg_count) {
+  if (agg_count == 0) return key_width;
   return 2 * key_width + agg_count * sizeof(Aggregator) + 64;
 }
 
@@ -313,6 +312,16 @@ Status GroupAggregateOp::Open() {
   return Status::OK();
 }
 
+std::vector<uint8_t> GroupAggregateOp::KeyCells(const ColumnBatch& batch,
+                                                uint32_t row) const {
+  std::vector<uint8_t> cells;
+  for (size_t i : key_items_) {
+    const uint8_t* src = batch.cell(i, row);
+    cells.insert(cells.end(), src, src + in_layout_->cols[i].width);
+  }
+  return cells;
+}
+
 std::vector<Aggregator> GroupAggregateOp::MakeAggregators() const {
   std::vector<Aggregator> aggs;
   aggs.reserve(agg_items_.size());
@@ -347,7 +356,7 @@ Status GroupAggregateOp::StartSpill() {
   // input rows.
   by_key_ = std::make_unique<ExternalRowSorter>(
       ctx_, spill_stride_, key_cmp_, BudgetRows(ctx_, spill_stride_),
-      /*drop_key_duplicates=*/false, "group-spill");
+      "group-spill");
   by_key_->set_fold([this](uint8_t* acc, const uint8_t* row) {
     return FoldPartialRow(acc, row);
   });
@@ -418,8 +427,7 @@ Status GroupAggregateOp::FinishSpill() {
   uint32_t out_stride = out_layout_.row_width + kSpillSeqWidth;
   by_arrival_ = std::make_unique<ExternalRowSorter>(
       ctx_, out_stride, RowComparator::ByKeys({}, out_layout_.row_width),
-      BudgetRows(ctx_, out_stride), /*drop_key_duplicates=*/false,
-      "group-arrival");
+      BudgetRows(ctx_, out_stride), "group-arrival");
   // Cross-run duplicates emerge key-adjacent (each run was folded at
   // write time, so at most one partial per group per run remains).
   std::vector<uint8_t> acc;  // current group's folded partial row
@@ -487,9 +495,12 @@ Status GroupAggregateOp::FinishSpillPartials() {
 Status GroupAggregateOp::DumpPartials() {
   // Hash groups first: recover each group's canonical key from the index
   // (groups_ order is first arrival, but the combiner re-orders by
-  // first_seq anyway).
+  // first_seq anyway). Zero-aggregate groups were pushed at first arrival
+  // and never entered groups_.
   std::vector<const std::string*> keys(groups_.size(), nullptr);
-  for (const auto& [key, idx] : index_) keys[idx] = &key;
+  if (!agg_items_.empty()) {
+    for (const auto& [key, idx] : index_) keys[idx] = &key;
+  }
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
     Group& g = groups_[gi];
     PartialAggGroup pg;
@@ -561,7 +572,8 @@ Result<ColumnBatch> GroupAggregateOp::Next() {
     if (batch.empty()) break;
     // Keys precomputed morsel-parallel; the fold below is sequential so
     // the budget trips at the exact same row for every thread count.
-    ExtractKeys(ctx_, batch, &key_items_, &key_scratch_);
+    ExtractKeys(ctx_, batch, key_items_, &key_scratch_);
+    std::vector<uint32_t> fresh;  // zero-aggregate groups, final on arrival
     for (size_t r = 0; r < batch.live(); ++r) {
       uint32_t row = batch.row_at(r);
       // Scatter runs stamp the global anchor id per row; it replaces the
@@ -572,35 +584,39 @@ Result<ColumnBatch> GroupAggregateOp::Next() {
       // memory either way.
       auto it = index_.find(std::string_view(key));
       if (it != index_.end()) {
-        GHOSTDB_RETURN_NOT_OK(
-            AccumulateInto(&groups_[it->second], batch, row));
+        if (!agg_items_.empty()) {
+          GHOSTDB_RETURN_NOT_OK(
+              AccumulateInto(&groups_[it->second], batch, row));
+        }
         continue;
       }
       if (!spilling_) {
         size_t group_bytes = GroupBytes(key.size(), agg_items_.size());
         if (table_bytes_ + group_bytes > ctx_->sort_budget_bytes) {
-          if (!ctx_->config->spill_enabled) {
-            return Status::ResourceExhausted(
-                "group table exceeds the relational-tail budget (" +
-                std::to_string(ctx_->sort_budget_bytes) +
-                " bytes) and spilling is disabled");
-          }
           GHOSTDB_RETURN_NOT_OK(StartSpill());
           spilling_ = true;
         } else {
-          Group g;
-          g.key_cells.reserve(key.size());
-          for (size_t i : key_items_) {
-            const uint8_t* src = batch.cell(i, row);
-            g.key_cells.insert(g.key_cells.end(), src,
-                               src + in_layout_->cols[i].width);
+          index_.emplace(key, groups_.size());
+          table_bytes_ += group_bytes;
+          if (agg_items_.empty()) {
+            // Final at first arrival: it leaves now (see class comment).
+            if (ctx_->partials_out == nullptr) {
+              fresh.push_back(row);
+            } else {
+              PartialAggGroup pg;
+              pg.key = key;
+              pg.key_cells = KeyCells(batch, row);
+              pg.first_seq = seq;
+              ctx_->partials_out->push_back(std::move(pg));
+            }
+            continue;
           }
+          Group g;
+          g.key_cells = KeyCells(batch, row);
           g.aggs = MakeAggregators();
           g.first_seq = seq;
           GHOSTDB_RETURN_NOT_OK(AccumulateInto(&g, batch, row));
-          index_.emplace(key, groups_.size());
           groups_.push_back(std::move(g));
-          table_bytes_ += group_bytes;
           continue;
         }
       }
@@ -608,6 +624,12 @@ Result<ColumnBatch> GroupAggregateOp::Next() {
       // grouping as a single-row partial.
       GHOSTDB_RETURN_NOT_OK(PackPartialRow(batch, row, seq));
       GHOSTDB_RETURN_NOT_OK(by_key_->Add(row_buf_.data()));
+    }
+    if (!fresh.empty()) {
+      batch.selection = std::move(fresh);
+      batch.has_selection = true;
+      batch.skipped_rows = 0;
+      return batch;
     }
   }
   if (ctx_->partials_out != nullptr) {
@@ -655,238 +677,10 @@ Status GroupAggregateOp::Close() {
 }
 
 // ---------------------------------------------------------------------------
-// DistinctOp
-// ---------------------------------------------------------------------------
-
-void DistinctOp::BindLayout(const ColumnBatch& batch) {
-  layout_ = batch.layout;
-  offsets_ = ColumnOffsets(*layout_);
-  row_buf_.resize(layout_->row_width + kSpillSeqWidth);
-}
-
-Status DistinctOp::StartSpill() {
-  // Phase A orders by every output column ascending (any total order over
-  // the row value works — it only has to cluster duplicates), ties by
-  // arrival so the earliest occurrence of each value pops first.
-  uint32_t stride = layout_->row_width + kSpillSeqWidth;
-  std::vector<RowComparator::Key> keys;
-  for (size_t c = 0; c < layout_->cols.size(); ++c) {
-    keys.push_back(
-        {offsets_[c], layout_->cols[c].type, layout_->cols[c].width, false});
-  }
-  by_value_ = std::make_unique<ExternalRowSorter>(
-      ctx_, stride, RowComparator::ByKeys(std::move(keys), layout_->row_width),
-      BudgetRows(ctx_, stride), /*drop_key_duplicates=*/true,
-      "distinct-spill");
-  return Status::OK();
-}
-
-Status DistinctOp::SpillRow(const ColumnBatch& batch, uint32_t row,
-                            const std::string& key) {
-  uint64_t seq = seq_++;
-  // Keys emitted by the hash phase stay authoritative: anything already in
-  // the frozen set is a duplicate of a row that already left the operator.
-  if (seen_.find(std::string_view(key)) != seen_.end()) return Status::OK();
-  PackRow(batch, row, offsets_, seq, row_buf_.data());
-  return by_value_->Add(row_buf_.data());
-}
-
-Status DistinctOp::FinishSpill() {
-  GHOSTDB_RETURN_NOT_OK(by_value_->Finish());
-  // Phase B restores arrival order over the surviving (unique) rows, so
-  // the output is exactly the hash path's: first occurrences, in order.
-  uint32_t stride = layout_->row_width + kSpillSeqWidth;
-  by_arrival_ = std::make_unique<ExternalRowSorter>(
-      ctx_, stride, RowComparator::ByKeys({}, layout_->row_width),
-      BudgetRows(ctx_, stride), /*drop_key_duplicates=*/false,
-      "distinct-arrival");
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_value_->Next());
-    if (row == nullptr) break;
-    GHOSTDB_RETURN_NOT_OK(by_arrival_->Add(row));
-  }
-  ctx_->metrics->sort_spill_runs += by_value_->stats().runs_written;
-  ctx_->metrics->sort_spill_pages += by_value_->stats().pages_written;
-  ctx_->metrics->padding_spill_runs += by_value_->stats().padding_runs_written;
-  GHOSTDB_RETURN_NOT_OK(by_value_->Close());  // phase A flash freed here
-  by_value_.reset();
-  return by_arrival_->Finish();
-}
-
-Result<ColumnBatch> DistinctOp::EmitSpilled() {
-  ColumnBatch out = ColumnBatch::Make(
-      layout_, std::min<uint64_t>(ctx_->batch_rows, 256));
-  while (out.rows < ctx_->batch_rows) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, by_arrival_->Next());
-    if (row == nullptr) break;
-    AppendSpillRow(&out, offsets_, row);
-  }
-  return out;  // empty batch = end of stream
-}
-
-Result<ColumnBatch> DistinctOp::Next() {
-  if (emitting_) return EmitSpilled();
-  // Streaming hash phase: per child batch, keep the live rows whose encoded
-  // bytes are new, as a selection over the same batch (RowKey keeps byte
-  // equality aligned with value equality). Loop past all-duplicate batches
-  // — an empty batch would end the stream.
-  while (!child_done_) {
-    GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
-    if (batch.empty()) {
-      child_done_ = true;
-      break;
-    }
-    if (layout_ == nullptr) BindLayout(batch);
-    // Keys precomputed morsel-parallel; the sequential pass below keeps
-    // the budget trip and output order identical for every thread count.
-    ExtractKeys(ctx_, batch, nullptr, &key_scratch_);
-    std::vector<uint32_t> keep;
-    for (size_t r = 0; r < batch.live(); ++r) {
-      uint32_t row = batch.row_at(r);
-      const std::string& key = key_scratch_[r];
-      if (spilling_) {
-        GHOSTDB_RETURN_NOT_OK(SpillRow(batch, row, key));
-        continue;
-      }
-      if (seen_.find(std::string_view(key)) != seen_.end()) {
-        seq_ += 1;
-        continue;
-      }
-      if (seen_bytes_ + key.size() > ctx_->sort_budget_bytes) {
-        if (!ctx_->config->spill_enabled) {
-          return Status::ResourceExhausted(
-              "distinct set exceeds the relational-tail budget (" +
-              std::to_string(ctx_->sort_budget_bytes) +
-              " bytes) and spilling is disabled");
-        }
-        GHOSTDB_RETURN_NOT_OK(StartSpill());
-        spilling_ = true;
-        GHOSTDB_RETURN_NOT_OK(SpillRow(batch, row, key));
-        continue;
-      }
-      seen_.insert(key);  // only genuinely new keys allocate
-      seen_bytes_ += key.size();
-      keep.push_back(row);
-      seq_ += 1;
-    }
-    batch.skipped_rows = 0;
-    if (!keep.empty()) {
-      batch.selection = std::move(keep);
-      batch.has_selection = true;
-      return batch;
-    }
-  }
-  if (!spilling_) return ColumnBatch{};
-  GHOSTDB_RETURN_NOT_OK(FinishSpill());
-  emitting_ = true;
-  return EmitSpilled();
-}
-
-Status DistinctOp::Close() {
-  // by_value_ outlives FinishSpill only when the stream was abandoned
-  // early; fold whatever spill work actually happened either way. Defer
-  // the first error so a failing phase cannot strand the other phase's
-  // runs or skip the children's Close.
-  Status first;
-  auto keep = [&first](Status s) {
-    if (first.ok() && !s.ok()) first = std::move(s);
-  };
-  for (auto* sorter : {by_value_.get(), by_arrival_.get()}) {
-    if (sorter == nullptr) continue;
-    ctx_->metrics->sort_spill_runs += sorter->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter->stats().padding_runs_written;
-    keep(sorter->Close());
-  }
-  // Strict spill-run padding: the distinct set tripping the budget is
-  // hidden-dependent, so a run that never spilled still writes both
-  // phases' padded dummy-run signatures.
-  if (first.ok() && !spilling_ && ctx_->config->pad_spill_runs) {
-    uint32_t stride = TailInputRowWidth(ctx_) + kSpillSeqWidth;
-    keep(PadUnspilledSorter(ctx_, stride, "distinct-spill"));
-    if (first.ok()) {
-      keep(PadUnspilledSorter(ctx_, stride, "distinct-arrival"));
-    }
-  }
-  keep(Operator::Close());
-  return first;
-}
-
-// ---------------------------------------------------------------------------
 // SortOp
 // ---------------------------------------------------------------------------
 
-Status SortOp::Gather() {
-  while (true) {
-    GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
-    if (batch.empty()) break;
-    if (layout_ == nullptr) {
-      layout_ = batch.layout;
-      offsets_ = ColumnOffsets(*layout_);
-      uint32_t stride = layout_->row_width + kSpillSeqWidth;
-      row_buf_.resize(stride);
-      sorter_ = std::make_unique<ExternalRowSorter>(
-          ctx_, stride,
-          OrderByComparator(*layout_, offsets_, ctx_->query->order_by),
-          BudgetRows(ctx_, stride), /*drop_key_duplicates=*/false,
-          "sort-spill");
-    }
-    for (size_t r = 0; r < batch.live(); ++r) {
-      PackRow(batch, batch.row_at(r), offsets_, seq_++, row_buf_.data());
-      GHOSTDB_RETURN_NOT_OK(sorter_->Add(row_buf_.data()));
-    }
-  }
-  if (sorter_ != nullptr) GHOSTDB_RETURN_NOT_OK(sorter_->Finish());
-  return Status::OK();
-}
-
-Result<ColumnBatch> SortOp::Next() {
-  if (done_) return ColumnBatch{};
-  if (!gathered_) {
-    GHOSTDB_RETURN_NOT_OK(Gather());
-    gathered_ = true;
-  }
-  if (layout_ == nullptr) {  // empty input stream
-    done_ = true;
-    return ColumnBatch{};
-  }
-  ColumnBatch out = ColumnBatch::Make(
-      layout_, std::min<uint64_t>(ctx_->batch_rows, 256));
-  while (out.rows < ctx_->batch_rows) {
-    GHOSTDB_ASSIGN_OR_RETURN(const uint8_t* row, sorter_->Next());
-    if (row == nullptr) {
-      done_ = true;
-      break;
-    }
-    AppendSpillRow(&out, offsets_, row);
-  }
-  return out;
-}
-
-Status SortOp::Close() {
-  Status first;
-  if (sorter_ != nullptr) {
-    ctx_->metrics->sort_spill_runs += sorter_->stats().runs_written;
-    ctx_->metrics->sort_spill_pages += sorter_->stats().pages_written;
-    ctx_->metrics->padding_spill_runs += sorter_->stats().padding_runs_written;
-    first = sorter_->Close();
-  } else if (ctx_->config->pad_spill_runs) {
-    // Strict spill-run padding: an empty (hidden-filtered) input never
-    // instantiated the sorter; write the padded dummy-run signature a real
-    // sorter over zero rows would have.
-    first = PadUnspilledSorter(
-        ctx_, TailInputRowWidth(ctx_) + kSpillSeqWidth, "sort-spill");
-  }
-  // Children close even when the sorter's teardown failed.
-  Status children = Operator::Close();
-  return first.ok() ? children : first;
-}
-
-// ---------------------------------------------------------------------------
-// TopKSortOp
-// ---------------------------------------------------------------------------
-
-Status TopKSortOp::Offer(const uint8_t* row) {
+Status SortOp::Offer(const uint8_t* row) {
   auto heap_less = [this](uint32_t a, uint32_t b) {
     return cmp_.Compare(Slot(a), Slot(b)) < 0;
   };
@@ -912,7 +706,7 @@ Status TopKSortOp::Offer(const uint8_t* row) {
   return Status::OK();
 }
 
-Status TopKSortOp::Gather() {
+Status SortOp::Gather() {
   while (true) {
     GHOSTDB_ASSIGN_OR_RETURN(ColumnBatch batch, child()->Next());
     if (batch.empty()) break;
@@ -923,11 +717,10 @@ Status TopKSortOp::Gather() {
       row_buf_.resize(stride_);
       cmp_ = OrderByComparator(*layout_, offsets_, ctx_->query->order_by);
       if (k_ > BudgetRows(ctx_, stride_)) {
-        // The heap itself would exceed the budget: degrade to the spilling
-        // sort, truncated at k rows on the way out.
+        // The heap itself would exceed the budget (always, unbounded): run
+        // the spilling sort, truncated at k rows on the way out.
         sorter_ = std::make_unique<ExternalRowSorter>(
-            ctx_, stride_, cmp_, BudgetRows(ctx_, stride_),
-            /*drop_key_duplicates=*/false, "topk-spill");
+            ctx_, stride_, cmp_, BudgetRows(ctx_, stride_), "sort-spill");
       } else {
         arena_.reserve(static_cast<size_t>(k_) * stride_);
       }
@@ -952,7 +745,7 @@ Status TopKSortOp::Gather() {
   return Status::OK();
 }
 
-Result<ColumnBatch> TopKSortOp::Next() {
+Result<ColumnBatch> SortOp::Next() {
   if (done_) return ColumnBatch{};
   if (k_ == 0) {  // LIMIT 0 never pulls the child, like LimitOp
     done_ = true;
@@ -987,7 +780,7 @@ Result<ColumnBatch> TopKSortOp::Next() {
   return out;
 }
 
-Status TopKSortOp::Close() {
+Status SortOp::Close() {
   ctx_->metrics->topk_short_circuits += short_circuits_;
   Status first;
   if (sorter_ != nullptr) {
@@ -996,13 +789,14 @@ Status TopKSortOp::Close() {
     ctx_->metrics->padding_spill_runs += sorter_->stats().padding_runs_written;
     first = sorter_->Close();
   } else if (ctx_->config->pad_spill_runs && k_ > 0) {
-    // Strict spill-run padding for the visible spilling-sort fallback
-    // (k past the budget — both visible): an empty input never
-    // instantiated the sorter. The in-budget heap mode uses no sorter for
-    // any variant, so it pads nothing.
+    // Strict spill-run padding for the visible spilling-sort mode (k past
+    // the budget — both visible): an empty (hidden-filtered) input never
+    // instantiated the sorter; write the padded dummy-run signature a real
+    // sorter over zero rows would have. The in-budget heap mode uses no
+    // sorter for any variant, so it pads nothing.
     uint32_t stride = TailInputRowWidth(ctx_) + kSpillSeqWidth;
     if (k_ > BudgetRows(ctx_, stride)) {
-      first = PadUnspilledSorter(ctx_, stride, "topk-spill");
+      first = PadUnspilledSorter(ctx_, stride, "sort-spill");
     }
   }
   Status children = Operator::Close();

@@ -1,24 +1,25 @@
-// Value-space operators above the projection: aggregation, DISTINCT,
-// ORDER BY, LIMIT, and the fused top-K sort. These run entirely on the
-// Secure side — result rows never cross the channel — so they add no
-// observable behavior that could depend on Hidden data. All of them work
-// on the encoded columns of ColumnBatch: DISTINCT hashes encoded row
-// bytes, Sort compares encoded sort keys (catalog::CompareEncoded), Limit
-// and Distinct drop rows through the selection vector without copying
-// cells.
+// Value-space operators above the projection: the relational tail is
+// Aggregate, GroupAggregate (which also runs DISTINCT, as GROUP BY over
+// every select item with zero aggregates), one Sort with an optional bound
+// (ORDER BY, ORDER BY ... LIMIT k), LIMIT, and the VolumePad defense.
+// These run entirely on the Secure side — result rows never cross the
+// channel — so they add no observable behavior that could depend on Hidden
+// data. All of them work on the encoded columns of ColumnBatch: grouping
+// hashes canonical encoded key bytes, Sort compares encoded sort keys
+// (catalog::CompareEncoded), Limit and zero-aggregate grouping drop rows
+// through the selection vector without copying cells.
 //
-// The blocking operators (Sort, Distinct, TopKSort) are memory-bounded:
-// their working set is capped by the relational-tail budget the executor
-// derives from the session's RAM partition (ExecContext::sort_budget_*).
-// Past the budget they spill sorted runs to flash and stream the result
-// back through ExternalRowSorter — secure memory stays O(budget) no
-// matter how many rows the hidden predicates let through.
+// The blocking operators (GroupAggregate, Sort) are memory-bounded: their
+// working set is capped by the relational-tail budget the executor derives
+// from the session's RAM partition (ExecContext::sort_budget_*). Past the
+// budget they spill sorted runs to flash and stream the result back
+// through ExternalRowSorter — secure memory stays O(budget) no matter how
+// many rows the hidden predicates let through.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -80,29 +81,36 @@ class AggregateOp final : public Operator {
 };
 
 /// \brief Grouped aggregation (`SELECT k1, k2, AGG(x) ... GROUP BY k1,
-/// k2`): one output row per distinct combination of the plain (group-key)
-/// select items, aggregates folded per group, groups emitted in
-/// first-arrival order. Everything happens on the Secure side after the
-/// projection, so grouping adds no observable behavior.
+/// k2`) and DISTINCT (every select item a key, zero aggregates): one output
+/// row per distinct combination of the plain (group-key) select items,
+/// aggregates folded per group, groups emitted in first-arrival order.
+/// Everything happens on the Secure side after the projection, so grouping
+/// adds no observable behavior.
 ///
 /// While the group table fits the relational-tail budget this is a
-/// streaming hash phase exactly like DistinctOp's: groups are keyed by the
-/// concatenated canonical encoded bytes of the key cells (heterogeneous
-/// string_view lookup — only genuinely new groups allocate), and rows of
-/// known groups fold into their Aggregators in O(1) extra memory. Past the
-/// budget the group table freezes: rows of frozen groups keep folding in
-/// place, rows of new groups reroute through ExternalRowSorter sort-based
-/// grouping — packed as single-row *partial-aggregate* spill rows (key
-/// cells + per-aggregate encoded partial state + arrival seq) that the
-/// sorter folds key-adjacent at run-write time (set_fold), so each spill
-/// run carries at most one row per group; the drain folds the per-run
-/// partials again, renders each group, and re-sorts by first-arrival
-/// sequence. Every frozen group's first arrival precedes every rerouted
-/// group's, so the concatenated output (frozen groups, then rerouted ones)
-/// is byte-identical to the pure hash path's. (Integer-SUM overflow is
-/// detected on partial subtotals rather than per input row, so a transient
-/// mid-group overflow that cancels within one spill segment no longer
-/// errors — the same granularity the sharded partial combine has.)
+/// streaming hash phase: groups are keyed by the concatenated canonical
+/// encoded bytes of the key cells (heterogeneous string_view lookup — only
+/// genuinely new groups allocate), and rows of known groups fold into their
+/// Aggregators in O(1) extra memory. A group with no aggregate items is
+/// final at its first arrival, so it never enters the group table: the
+/// table holds only its canonical key (the budget charges only those
+/// bytes), and the row leaves at once — forwarded as a selection over the
+/// input batch (copy-free, and a LIMIT above stops the pull early), or on a
+/// scatter leg pushed as a PartialAggGroup.
+///
+/// Past the budget the group table freezes: rows of frozen groups keep
+/// folding in place, rows of new groups reroute through ExternalRowSorter
+/// sort-based grouping — packed as single-row *partial-aggregate* spill
+/// rows (key cells + per-aggregate encoded partial state + arrival seq)
+/// that the sorter folds key-adjacent at run-write time (set_fold), so each
+/// spill run carries at most one row per group; the drain folds the
+/// per-run partials again, renders each group, and re-sorts by
+/// first-arrival sequence. Every frozen group's first arrival precedes
+/// every rerouted group's, so the concatenated output (frozen groups, then
+/// rerouted ones) is byte-identical to the pure hash path's. (Integer-SUM
+/// overflow is detected on partial subtotals rather than per input row, so
+/// a transient mid-group overflow that cancels within one spill segment no
+/// longer errors — the same granularity the sharded partial combine has.)
 ///
 /// Sharded fleets: a scatter leg (ExecContext::partials_out) dumps every
 /// local group — hash and spilled — as PartialAggGroups (canonical key,
@@ -129,6 +137,8 @@ class GroupAggregateOp final : public Operator {
     uint64_t first_seq = 0;
   };
 
+  /// The raw key cells of one input row, in key_items_ order.
+  std::vector<uint8_t> KeyCells(const ColumnBatch& batch, uint32_t row) const;
   /// Fresh accumulators, one per aggregate select item.
   std::vector<Aggregator> MakeAggregators() const;
   /// Folds one live input row into a group's accumulators.
@@ -149,6 +159,7 @@ class GroupAggregateOp final : public Operator {
   Status FlushSpillGroup(const uint8_t* partial);
   /// Scatter-shard mode: dumps every local group (hash table + spilled) as
   /// PartialAggGroups into ctx->partials_out instead of rendering rows.
+  /// (Zero-aggregate groups were pushed at first arrival.)
   Status DumpPartials();
   /// DumpPartials' spill side: drains phase A, folds key-adjacent
   /// partials, and emits each folded group as a PartialAggGroup (phase B
@@ -179,7 +190,7 @@ class GroupAggregateOp final : public Operator {
   std::vector<std::string> key_scratch_;
 
   /// Hash phase: canonical key bytes -> index into groups_ (first-arrival
-  /// order).
+  /// order; unused for zero-aggregate groups, which groups_ never holds).
   std::unordered_map<std::string, size_t, TransparentStringHash,
                      std::equal_to<>>
       index_;
@@ -194,88 +205,19 @@ class GroupAggregateOp final : public Operator {
   bool done_ = false;
 };
 
-/// \brief Drops duplicate rows; the first occurrence (in anchor-id order)
-/// survives.
-///
-/// While the distinct set fits the relational-tail budget this is the
-/// streaming hash path: a set over concatenated encoded row bytes
-/// (heterogeneous string_view lookup, so only genuinely new keys
-/// allocate), survivors forwarded as selections, copy-free. Past the
-/// budget the operator switches to sort-based dedup: remaining rows are
-/// filtered against the frozen hash set, externally sorted by value with
-/// duplicates dropped, then re-sorted by arrival sequence so the output
-/// order (first occurrences, arrival order) is unchanged.
-class DistinctOp final : public Operator {
- public:
-  explicit DistinctOp(ExecContext* ctx) : Operator(ctx) {}
-  std::string_view name() const override { return "Distinct"; }
-  Result<ColumnBatch> Next() override;
-  Status Close() override;
-
- private:
-  /// Lazily binds layout-derived state to the first child batch.
-  void BindLayout(const ColumnBatch& batch);
-  /// Enters spill mode: remaining input flows through value-sorted dedup.
-  Status StartSpill();
-  /// Routes one live row into the spill sorter (unless its key is in the
-  /// frozen hash set). `key` is the row's precomputed canonical key.
-  Status SpillRow(const ColumnBatch& batch, uint32_t row,
-                  const std::string& key);
-  /// Drains phase A (value order, deduped) into phase B (arrival order)
-  /// and starts emitting.
-  Status FinishSpill();
-  Result<ColumnBatch> EmitSpilled();
-
-  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-      seen_;
-  size_t seen_bytes_ = 0;   ///< key bytes held by seen_ (budget accounting)
-  uint64_t seq_ = 0;        ///< arrival sequence across all input rows
-  const BatchLayout* layout_ = nullptr;
-  std::vector<uint32_t> offsets_;  ///< per-column byte offsets in a row
-  std::vector<uint8_t> row_buf_;   ///< one spill row (cells + sequence)
-  /// Per-batch row keys, extracted morsel-parallel before the sequential
-  /// dedup pass (reused across batches).
-  std::vector<std::string> key_scratch_;
-  std::unique_ptr<ExternalRowSorter> by_value_;    ///< spill phase A
-  std::unique_ptr<ExternalRowSorter> by_arrival_;  ///< spill phase B
-  bool child_done_ = false;
-  bool spilling_ = false;
-  bool emitting_ = false;
-};
-
-/// \brief ORDER BY over select-list columns: a blocking sort — keys are
-/// compared in their encodings, ties keep anchor-id (arrival) order —
-/// bounded by the relational-tail budget; larger inputs spill sorted runs
-/// to flash and stream the merge back in planner-sized batches.
+/// \brief ORDER BY over select-list columns, keeping the first k rows:
+/// k is the query's LIMIT, or plan::kUnbounded without one. Keys are
+/// compared in their encodings; ties keep anchor-id (arrival) order, so the
+/// result is exactly a stable sort truncated at k. When k fits the
+/// relational-tail budget, a bounded k-row heap of encoded rows replaces
+/// the full sort — O(n log k) compares, O(k) secure memory, no spill. Past
+/// the budget (always, for an unbounded k) the operator runs the spilling
+/// ExternalRowSorter and stops emitting after k rows, so memory stays
+/// bounded either way.
 class SortOp final : public Operator {
  public:
-  explicit SortOp(ExecContext* ctx) : Operator(ctx) {}
+  SortOp(ExecContext* ctx, uint64_t k) : Operator(ctx), k_(k) {}
   std::string_view name() const override { return "Sort"; }
-  Result<ColumnBatch> Next() override;
-  Status Close() override;
-
- private:
-  Status Gather();
-
-  const BatchLayout* layout_ = nullptr;
-  std::vector<uint32_t> offsets_;
-  std::vector<uint8_t> row_buf_;
-  std::unique_ptr<ExternalRowSorter> sorter_;
-  uint64_t seq_ = 0;
-  bool gathered_ = false;
-  bool done_ = false;
-};
-
-/// \brief The fused `ORDER BY ... LIMIT k` operator: a bounded k-row heap
-/// of encoded rows instead of materializing and sorting everything —
-/// O(n log k) compares, O(k) secure memory, no spill needed. Ties keep
-/// the stable arrival-order semantics of Sort → Limit. When k itself
-/// exceeds the relational-tail budget the operator degrades to the
-/// spilling sort truncated at k rows, so memory stays bounded either way.
-class TopKSortOp final : public Operator {
- public:
-  TopKSortOp(ExecContext* ctx, uint64_t k) : Operator(ctx), k_(k) {}
-  std::string_view name() const override { return "TopKSort"; }
   Result<ColumnBatch> Next() override;
   Status Close() override;
 
@@ -298,7 +240,7 @@ class TopKSortOp final : public Operator {
   std::vector<uint32_t> heap_;
   std::vector<uint32_t> order_;  ///< final ascending order of the slots
   size_t emit_pos_ = 0;
-  /// Fallback (k past budget): full external sort, truncated at k.
+  /// Past the budget: full external sort, truncated at k.
   std::unique_ptr<ExternalRowSorter> sorter_;
   uint64_t emitted_ = 0;
   uint64_t seq_ = 0;

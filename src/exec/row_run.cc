@@ -45,9 +45,7 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
                       storage::PageAllocator* allocator,
                       std::vector<storage::RunRef>* runs, uint32_t width,
                       size_t target_count, const std::string& tag,
-                      const RowComparator& cmp, bool drop_key_duplicates,
-                      SpillStats* stats) {
-  std::vector<uint8_t> last_emitted;
+                      const RowComparator& cmp, SpillStats* stats) {
   while (runs->size() > target_count) {
     uint32_t free = ram->free_buffers();
     if (free < 3) {
@@ -84,8 +82,6 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
     }
     storage::RunWriter writer(device, allocator,
                               bufs.data() + take * ram->buffer_size(), tag);
-    bool emitted_any = false;
-    last_emitted.clear();
     while (true) {
       RowRunReader* best = nullptr;
       for (auto& r : readers) {
@@ -95,17 +91,7 @@ Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
         }
       }
       if (best == nullptr) break;
-      // Under total order the earliest-arrived of a duplicate group pops
-      // first, so dropping later key-equal rows keeps the first occurrence.
-      bool duplicate = drop_key_duplicates && emitted_any &&
-                       cmp.CompareKeys(best->row(), last_emitted.data()) == 0;
-      if (!duplicate) {
-        GHOSTDB_RETURN_NOT_OK(writer.Append(best->row(), width));
-        if (drop_key_duplicates) {
-          last_emitted.assign(best->row(), best->row() + width);
-          emitted_any = true;
-        }
-      }
+      GHOSTDB_RETURN_NOT_OK(writer.Append(best->row(), width));
       GHOSTDB_RETURN_NOT_OK(best->Advance());
     }
     GHOSTDB_ASSIGN_OR_RETURN(storage::RunRef merged, writer.Finish());

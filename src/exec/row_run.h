@@ -1,7 +1,7 @@
 // Fixed-stride row runs on flash: materialized intermediate results such as
 // the SJoin output F' (<id_anchor, id_Ti, ...> rows) and the per-table
 // projection outputs (<pos, vlist, hlist> rows), plus the sorted spill runs
-// of the memory-bounded relational tail (Sort/Distinct/top-K). Rows are
+// of the memory-bounded relational tail (Sort/GroupAggregate). Rows are
 // packed back-to-back across page boundaries (streamed sequentially, never
 // random-accessed). Id-space runs lead with a 4-byte sort key (anchor id or
 // position); spill runs order by a RowComparator over encoded value cells.
@@ -115,14 +115,11 @@ class RowRunReader {
 /// minimal number of runs that reaches the target (never more than the
 /// free buffers allow), choosing the smallest runs by page count so the
 /// pages rewritten per round are as few as possible. Consumed runs are
-/// freed under `tag`. With `drop_key_duplicates`, rows comparing equal on the
-/// declared keys collapse to the earliest (smallest tie-break) one — the
-/// sort-based DISTINCT. `stats` (optional) accumulates the flash work.
+/// freed under `tag`. `stats` (optional) accumulates the flash work.
 Status MergeRowRunsBy(flash::FlashDevice* device, device::RamManager* ram,
                       storage::PageAllocator* allocator,
                       std::vector<storage::RunRef>* runs, uint32_t width,
                       size_t target_count, const std::string& tag,
-                      const RowComparator& cmp, bool drop_key_duplicates,
-                      SpillStats* stats = nullptr);
+                      const RowComparator& cmp, SpillStats* stats = nullptr);
 
 }  // namespace ghostdb::exec

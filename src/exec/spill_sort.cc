@@ -7,13 +7,11 @@ namespace ghostdb::exec {
 
 ExternalRowSorter::ExternalRowSorter(ExecContext* ctx, uint32_t row_width,
                                      RowComparator cmp, uint64_t budget_rows,
-                                     bool drop_key_duplicates,
                                      std::string tag)
     : ctx_(ctx),
       row_width_(row_width),
       cmp_(std::move(cmp)),
       budget_rows_(std::max<uint64_t>(1, budget_rows)),
-      dedup_(drop_key_duplicates),
       tag_(std::move(tag)) {}
 
 ExternalRowSorter::~ExternalRowSorter() {
@@ -27,15 +25,7 @@ ExternalRowSorter::~ExternalRowSorter() {
 
 Status ExternalRowSorter::Add(const uint8_t* row) {
   if (finished_) return Status::Internal("Add() after Finish()");
-  if (gen_rows_ >= budget_rows_) {
-    if (!ctx_->config->spill_enabled) {
-      return Status::ResourceExhausted(
-          tag_ + " working set exceeds the relational-tail budget (" +
-          std::to_string(budget_rows_) +
-          " rows) and spilling is disabled");
-    }
-    GHOSTDB_RETURN_NOT_OK(SpillGeneration());
-  }
+  if (gen_rows_ >= budget_rows_) GHOSTDB_RETURN_NOT_OK(SpillGeneration());
   arena_.insert(arena_.end(), row, row + row_width_);
   gen_rows_ += 1;
   return Status::OK();
@@ -97,7 +87,6 @@ Status ExternalRowSorter::SpillGeneration() {
                            device::RamGuard::AcquireOne(&ctx_->ram(), tag_));
   storage::RunWriter writer(&ctx_->flash(), ctx_->allocator, buf.data(),
                             tag_);
-  const uint8_t* prev = nullptr;
   // Run-write partial fold: hold one pending row; key-equal successors
   // fold into it (the permutation is total-ordered, so the pending row is
   // the group's earliest arrival and keeps the group's smallest sequence).
@@ -117,13 +106,7 @@ Status ExternalRowSorter::SpillGeneration() {
       have_pending = true;
       continue;
     }
-    // The permutation is total-ordered (ties by arrival), so the first of
-    // a duplicate group is its earliest arrival.
-    if (dedup_ && prev != nullptr && cmp_.CompareKeys(row, prev) == 0) {
-      continue;
-    }
     GHOSTDB_RETURN_NOT_OK(writer.Append(row, row_width_));
-    prev = row;
   }
   if (have_pending) {
     GHOSTDB_RETURN_NOT_OK(writer.Append(pending.data(), row_width_));
@@ -191,9 +174,9 @@ Status ExternalRowSorter::Finish() {
   // reserved buffer forces extra merge-down rounds (each rewrites the
   // merged pages once at row_width_ stride), so the reserve is exactly
   // what the stream's consumer needs while the reader set stays pinned —
-  // one generation-spill buffer (the arrival-order phase of Distinct /
-  // GroupAggregate keeps absorbing this stream and may itself spill) plus
-  // one run-writer buffer for its merge or padding writes. Everything
+  // one generation-spill buffer (GroupAggregate's arrival-order phase
+  // keeps absorbing this stream and may itself spill) plus one run-writer
+  // buffer for its merge or padding writes. Everything
   // else becomes merge width; with MergeRowRunsBy's minimal-merge policy,
   // wider fan-in strictly reduces rewritten pages. All inputs (budget,
   // stride, buffer counts) are visible, so the merge structure cannot
@@ -206,8 +189,7 @@ Status ExternalRowSorter::Finish() {
   if (runs_.size() > fan_in) {
     GHOSTDB_RETURN_NOT_OK(MergeRowRunsBy(&ctx_->flash(), &ram,
                                          ctx_->allocator, &runs_, row_width_,
-                                         fan_in, tag_, cmp_, dedup_,
-                                         &stats_));
+                                         fan_in, tag_, cmp_, &stats_));
   }
   // Pad after the merge-down so the target covers merge-written runs too,
   // and before the reader buffers pin the remaining RAM.
@@ -228,42 +210,22 @@ Status ExternalRowSorter::Finish() {
 Result<const uint8_t*> ExternalRowSorter::Next() {
   if (!finished_) return Status::Internal("Next() before Finish()");
   if (runs_.empty()) {
-    while (emit_pos_ < perm_.size()) {
-      const uint8_t* row = GenRow(perm_[emit_pos_]);
-      emit_pos_ += 1;
-      if (dedup_ && have_last_ &&
-          cmp_.CompareKeys(row, last_emitted_.data()) == 0) {
-        continue;
-      }
-      if (dedup_) {
-        last_emitted_.assign(row, row + row_width_);
-        have_last_ = true;
-      }
-      return row;
+    if (emit_pos_ >= perm_.size()) {
+      return static_cast<const uint8_t*>(nullptr);
     }
-    return static_cast<const uint8_t*>(nullptr);
+    return GenRow(perm_[emit_pos_++]);
   }
-  while (true) {
-    RowRunReader* best = nullptr;
-    for (auto& r : readers_) {
-      if (r->valid() &&
-          (best == nullptr || cmp_.Compare(r->row(), best->row()) < 0)) {
-        best = r.get();
-      }
+  RowRunReader* best = nullptr;
+  for (auto& r : readers_) {
+    if (r->valid() &&
+        (best == nullptr || cmp_.Compare(r->row(), best->row()) < 0)) {
+      best = r.get();
     }
-    if (best == nullptr) return static_cast<const uint8_t*>(nullptr);
-    std::copy(best->row(), best->row() + row_width_, current_.begin());
-    GHOSTDB_RETURN_NOT_OK(best->Advance());
-    if (dedup_ && have_last_ &&
-        cmp_.CompareKeys(current_.data(), last_emitted_.data()) == 0) {
-      continue;
-    }
-    if (dedup_) {
-      last_emitted_ = current_;
-      have_last_ = true;
-    }
-    return current_.data();
   }
+  if (best == nullptr) return static_cast<const uint8_t*>(nullptr);
+  std::copy(best->row(), best->row() + row_width_, current_.begin());
+  GHOSTDB_RETURN_NOT_OK(best->Advance());
+  return current_.data();
 }
 
 Status ExternalRowSorter::Close() {
@@ -298,7 +260,7 @@ Status PadUnspilledSorter(ExecContext* ctx, uint32_t stride,
   // function cannot hide emptiness, a documented resolution limit).
   ExternalRowSorter sorter(ctx, stride,
                            RowComparator::ByKeys({}, stride - kSpillSeqWidth),
-                           budget_rows, /*drop_key_duplicates=*/false, tag);
+                           budget_rows, tag);
   GHOSTDB_RETURN_NOT_OK(sorter.Finish());
   ctx->metrics->sort_spill_runs += sorter.stats().runs_written;
   ctx->metrics->sort_spill_pages += sorter.stats().pages_written;

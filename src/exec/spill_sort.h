@@ -1,5 +1,7 @@
-// The memory-bounded sorting core behind the relational tail (SortOp,
-// DistinctOp's sort-based overflow path, TopKSortOp's large-k fallback).
+// The memory-bounded sorting core behind the relational tail: SortOp's
+// path for bounds past the budget (every unbounded ORDER BY), and
+// GroupAggregateOp's sort-based overflow grouping and arrival-order
+// restore.
 //
 // Rows are fixed-width encoded cells with a trailing u64 arrival sequence
 // (kSpillSeqWidth) that makes every RowComparator order total, so plain
@@ -40,11 +42,8 @@ class ExternalRowSorter {
  public:
   /// `row_width` includes the trailing arrival sequence. `budget_rows`
   /// bounds the in-memory generation (derived from visible inputs only).
-  /// With `drop_key_duplicates`, rows equal under cmp's keys collapse to
-  /// their first arrival — the sort-based DISTINCT.
   ExternalRowSorter(ExecContext* ctx, uint32_t row_width, RowComparator cmp,
-                    uint64_t budget_rows, bool drop_key_duplicates,
-                    std::string tag);
+                    uint64_t budget_rows, std::string tag);
   ~ExternalRowSorter();
 
   ExternalRowSorter(const ExternalRowSorter&) = delete;
@@ -62,11 +61,10 @@ class ExternalRowSorter {
   /// of hash-side partial aggregation. Rows with equal keys from
   /// *different* runs (and the never-spilled in-memory path) still emerge
   /// adjacent from Next(); the consumer folds those on the way out.
-  /// Mutually exclusive with drop_key_duplicates.
   void set_fold(FoldFn fold) { fold_ = std::move(fold); }
 
   /// Appends one row (row_width bytes). Past the budget: spills the
-  /// current generation (spill_enabled) or fails with ResourceExhausted.
+  /// current generation as a sorted run to flash.
   Status Add(const uint8_t* row);
 
   /// Seals the input: sorts the tail generation and, if the sorter
@@ -107,7 +105,6 @@ class ExternalRowSorter {
   uint32_t row_width_;
   RowComparator cmp_;
   uint64_t budget_rows_;
-  bool dedup_;
   FoldFn fold_;  ///< run-write partial fold (null = write rows verbatim)
   std::string tag_;
 
@@ -125,8 +122,6 @@ class ExternalRowSorter {
   device::RamGuard reader_bufs_;        // one buffer per final run
   std::vector<std::unique_ptr<RowRunReader>> readers_;
   std::vector<uint8_t> current_;            // merge-mode output row
-  std::vector<uint8_t> last_emitted_;       // dedup reference
-  bool have_last_ = false;
 };
 
 /// Strict spill-run padding (ExecConfig::pad_spill_runs): writes the

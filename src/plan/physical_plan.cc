@@ -16,18 +16,15 @@ std::string_view PhysicalOpName(PhysicalOp op) {
     case PhysicalOp::kBruteForceProject: return "BruteForceProject";
     case PhysicalOp::kAggregate: return "Aggregate";
     case PhysicalOp::kGroupAggregate: return "GroupAggregate";
-    case PhysicalOp::kDistinct: return "Distinct";
     case PhysicalOp::kSort: return "Sort";
     case PhysicalOp::kLimit: return "Limit";
-    case PhysicalOp::kTopKSort: return "TopKSort";
     case PhysicalOp::kVolumePad: return "VolumePad";
   }
   return "?";
 }
 
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
-                               PlanChoice choice, bool fuse_topk,
-                               bool pad_volume) {
+                               PlanChoice choice, bool pad_volume) {
   PhysicalPlan plan;
   plan.choice = std::move(choice);
   auto add = [&](PhysicalOp op, int child) {
@@ -55,27 +52,24 @@ PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
                  ? PhysicalOp::kBruteForceProject
                  : PhysicalOp::kProject,
              node);
-  // GROUP BY subsumes the whole-result Aggregate; which one runs is shape
-  // information (the clause is part of the cached query shape), like
-  // kTopKSort below.
-  if (query.grouped()) {
+  // GROUP BY subsumes the whole-result Aggregate, and DISTINCT is GROUP BY
+  // over every select item with zero aggregates (the binder rejects
+  // DISTINCT alongside aggregates or GROUP BY). Which one runs is shape
+  // information (the clauses are part of the cached query shape).
+  if (query.grouped() || query.distinct) {
     node = add(PhysicalOp::kGroupAggregate, node);
   } else if (query.HasAggregates()) {
     node = add(PhysicalOp::kAggregate, node);
   }
-  if (query.distinct) node = add(PhysicalOp::kDistinct, node);
-  if (fuse_topk && !query.order_by.empty() && query.limit.has_value()) {
-    // Sort -> Limit k fuses into a bounded top-K heap. The decision keys
-    // on shape only (both clauses present), so fused plans cache like any
-    // other; k is re-bound from the live query at build time.
-    node = add(PhysicalOp::kTopKSort, node);
+  if (!query.order_by.empty()) {
+    // ORDER BY ... LIMIT k is one bounded Sort. The node keys on shape only
+    // (LIMIT present or not), so plans cache like any other; k is re-bound
+    // from the live query at build time.
+    node = add(PhysicalOp::kSort, node);
+    plan.nodes.back().limit = query.limit.value_or(kUnbounded);
+  } else if (query.limit.has_value()) {
+    node = add(PhysicalOp::kLimit, node);
     plan.nodes.back().limit = *query.limit;
-  } else {
-    if (!query.order_by.empty()) node = add(PhysicalOp::kSort, node);
-    if (query.limit.has_value()) {
-      node = add(PhysicalOp::kLimit, node);
-      plan.nodes.back().limit = *query.limit;
-    }
   }
   // The volume defense pads *observed* volume, so it must sit above every
   // row-count-changing operator — including LIMIT.
@@ -92,8 +86,8 @@ std::string PhysicalPlan::ToString(const catalog::Schema& schema) const {
     out << std::string(static_cast<size_t>(depth) * 2, ' ') << "-> "
         << PhysicalOpName(node.op);
     if (node.op == PhysicalOp::kLimit) out << " " << node.limit;
-    if (node.op == PhysicalOp::kTopKSort) {
-      out << " " << node.limit << " (fused Sort+Limit)";
+    if (node.op == PhysicalOp::kSort && node.limit != kUnbounded) {
+      out << " (top " << node.limit << ")";
     }
     if (node.op == PhysicalOp::kVisSelect) {
       for (const auto& [t, strategy] : choice.vis) {

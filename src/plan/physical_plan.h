@@ -5,7 +5,11 @@
 //
 //   VisSelect -> BloomBuild -> Merge -> SJoin [-> PostSelect]
 //     -> Project | BruteForceProject
-//     [-> Aggregate | GroupAggregate] [-> Distinct] [-> Sort] [-> Limit]
+//     [-> Aggregate | GroupAggregate] [-> Sort | Limit]
+//
+// DISTINCT is a GroupAggregate keyed on every select item with zero
+// aggregates; ORDER BY is a Sort whose optional bound is the query's LIMIT
+// (unbounded without one).
 //
 // Nodes are stored flat (children by index) so plans are cheap to copy and
 // cache: the plan cache in core::GhostDB keys them by query shape.
@@ -36,11 +40,12 @@ enum class PhysicalOp : uint8_t {
   kProject,            ///< section 4 Project (BF-filtered MJoin)
   kBruteForceProject,  ///< Figs 12-13 baseline
   kAggregate,          ///< fold rows into aggregate values
-  kGroupAggregate,     ///< GROUP BY: per-group aggregate folding
-  kDistinct,           ///< drop duplicate rows (first occurrence wins)
-  kSort,               ///< ORDER BY over select-list columns
+  kGroupAggregate,     ///< GROUP BY / DISTINCT: per-group folding
+  /// ORDER BY over select-list columns, keeping the first `limit` rows
+  /// (kUnbounded without a LIMIT): a bounded k-row heap when k fits the
+  /// relational-tail budget, else the spilling sort truncated at k.
+  kSort,
   kLimit,              ///< truncate the stream after N rows
-  kTopKSort,           ///< fused Sort -> Limit k: bounded k-row heap
   /// Volume defense root: forwards the stream, then emits dummy rows until
   /// the observed volume hits the padding mode's target (quantized or
   /// visible-worst-case). Dummies are stripped at the QueryResult boundary.
@@ -53,8 +58,11 @@ std::string_view PhysicalOpName(PhysicalOp op);
 struct PhysicalNode {
   PhysicalOp op;
   std::vector<int> children;  ///< indices into PhysicalPlan::nodes
-  uint64_t limit = 0;         ///< kLimit / kTopKSort: row cap
+  uint64_t limit = 0;         ///< kLimit / kSort: row cap
 };
+
+/// kSort's bound for an ORDER BY without LIMIT.
+inline constexpr uint64_t kUnbounded = UINT64_MAX;
 
 /// \brief A fully lowered plan: strategy decisions plus the operator tree.
 struct PhysicalPlan {
@@ -81,17 +89,15 @@ struct PhysicalPlan {
 };
 
 /// Lowers `choice` into the operator tree for `query`. Pure function of the
-/// bound query's visible shape and the choice. With `fuse_topk` (the
-/// default; ExecConfig::topk_fusion), a Sort -> Limit k tail becomes one
-/// fused TopKSort node — O(k) secure memory instead of a full materialized
-/// sort. The fusion keys on the *presence* of ORDER BY and LIMIT (shape
+/// bound query's visible shape and the choice. ORDER BY ... LIMIT k is one
+/// Sort node bounded at k — O(k) secure memory instead of a full
+/// materialized sort. The node keys on the *presence* of LIMIT (shape
 /// information); k itself stays a literal the executor re-binds.
 ///
 /// With `pad_volume` (ExecConfig::volume_padding != kOff) a VolumePad node
 /// caps the tree: config is visible information, so padded plans cache
 /// like any other.
 PhysicalPlan BuildPhysicalPlan(const sql::BoundQuery& query,
-                               PlanChoice choice, bool fuse_topk = true,
-                               bool pad_volume = false);
+                               PlanChoice choice, bool pad_volume = false);
 
 }  // namespace ghostdb::plan

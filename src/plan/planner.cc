@@ -117,7 +117,7 @@ Result<PhysicalPlan> Planner::PlanQuery(
   GHOSTDB_ASSIGN_OR_RETURN(PlanChoice choice,
                            Choose(query, vis_counts, exec_config));
   PhysicalPlan plan = BuildPhysicalPlan(
-      query, std::move(choice), exec_config.topk_fusion,
+      query, std::move(choice),
       exec_config.volume_padding != exec::VolumePadding::kOff);
   // Batch sizing: a byte budget over the output row width. Widths are
   // schema metadata (visible), so the sized plan (and the layout it was

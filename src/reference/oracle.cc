@@ -151,7 +151,10 @@ Result<std::vector<std::vector<Value>>> Evaluate(
 
   // DISTINCT keeps the first occurrence in anchor-id order; ORDER BY is a
   // stable sort (ties stay in anchor-id order); LIMIT truncates last —
-  // exactly the semantics of the Distinct/Sort/Limit operators.
+  // exactly the engine's semantics. The engine runs DISTINCT as
+  // zero-aggregate grouping; this evaluation stays separate from the
+  // grouped one above, so the differential fuzz compares two
+  // implementations.
   if (query.distinct) {
     std::set<std::vector<Value>> seen;
     std::vector<std::vector<Value>> unique;

@@ -389,7 +389,20 @@ inline std::string GenerateQuery(Rng& rng, const FuzzShape& shape) {
   }
 
   std::string sql = "SELECT ";
-  if (!aggregate && !grouped && rng.Chance(0.3)) sql += "DISTINCT ";
+  if (!aggregate && !grouped && rng.Chance(0.3)) {
+    // DISTINCT mode. About half its draws spell the same query as GROUP BY
+    // over every select column: the engine plans both as one
+    // zero-aggregate GroupAggregate, while the oracle evaluates the two
+    // spellings through separate code.
+    if (rng.Chance(0.5)) {
+      for (const auto& item : items) {
+        if (!group_clause.empty()) group_clause += ", ";
+        group_clause += item.text;
+      }
+    } else {
+      sql += "DISTINCT ";
+    }
+  }
   sql += select + " FROM " + from;
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     sql += (i == 0 ? " WHERE " : " AND ") + conjuncts[i];

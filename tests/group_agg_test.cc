@@ -1,6 +1,8 @@
 // Grouped aggregation end to end: GROUP BY parsing/binding, the
 // GroupAggregateOp hash and spill-overflow paths (byte-identical output),
-// grouped ORDER BY/LIMIT over keys and aggregate outputs, and the
+// grouped ORDER BY/LIMIT over keys and aggregate outputs, DISTINCT as
+// zero-aggregate grouping (same answer and spill work as the GROUP BY
+// spelling, on one device and on a fleet), and the
 // aggregate-semantics edges — empty/all-filtered inputs for every AggFunc
 // (GhostDB's no-NULL rule: value aggregates over an empty input yield an
 // empty result), overflow-checked integer SUM, and checked COUNT
@@ -138,13 +140,11 @@ TEST(GroupBySqlTest, RejectsMalformedGroupBy) {
 
 // --- End-to-end fixture ---
 
-GhostDBConfig MakeConfig(uint32_t sort_budget_buffers = 0,
-                         bool spill_enabled = true) {
+GhostDBConfig MakeConfig(uint32_t sort_budget_buffers = 0) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 32 * 1024;
   cfg.retain_staged_data = true;
   cfg.exec.sort_budget_buffers = sort_budget_buffers;
-  cfg.exec.spill_enabled = spill_enabled;
   return cfg;
 }
 
@@ -438,18 +438,94 @@ TEST(GroupAggSpillTest, HashAndSpillPathsProduceIdenticalResults) {
   }
 }
 
-TEST(GroupAggSpillTest, SpillDisabledFailsCleanAndSmallGroupsStillServe) {
-  GhostDB db(MakeConfig(/*sort_budget_buffers=*/1, /*spill_enabled=*/false));
-  BuildDb(&db);
-  auto big = db.Query(
-      "SELECT Fact.v, Fact.h, COUNT(*) FROM Fact GROUP BY Fact.v, Fact.h");
-  EXPECT_TRUE(big.status().IsResourceExhausted())
-      << big.status().ToString();
-  // A group table that fits the single buffer still works.
-  auto small = db.Query(
-      "SELECT Dim.v, COUNT(*) FROM Dim WHERE Dim.v < 3 GROUP BY Dim.v");
-  ASSERT_TRUE(small.ok()) << small.status().ToString();
-  EXPECT_GT(small->total_rows, 0u);
+// --- DISTINCT is GROUP BY over every select item with zero aggregates ---
+
+TEST(DistinctAsGroupingTest, BothSpellingsMatchOnDeviceAndFleet) {
+  // Pairs of the same query: DISTINCT vs GROUP BY every select column.
+  // The DOUBLE key carries +0.0/-0.0, so the first-arrival raw key cells
+  // must survive every path. The surrogate-id pair has one group per row
+  // and a 20-byte key, so at a 1-buffer budget even a quarter-size shard
+  // overflows into more than one spill generation.
+  const std::pair<const char*, const char*> kPairs[] = {
+      {"SELECT DISTINCT Fact.id, Fact.d, Fact.bh FROM Fact",
+       "SELECT Fact.id, Fact.d, Fact.bh FROM Fact "
+       "GROUP BY Fact.id, Fact.d, Fact.bh"},
+      {"SELECT DISTINCT Fact.v, Fact.d FROM Fact WHERE Fact.h < 90",
+       "SELECT Fact.v, Fact.d FROM Fact WHERE Fact.h < 90 "
+       "GROUP BY Fact.v, Fact.d"},
+      {"SELECT DISTINCT Fact.d, Fact.h FROM Fact",
+       "SELECT Fact.d, Fact.h FROM Fact GROUP BY Fact.h, Fact.d"},
+      {"SELECT DISTINCT Fact.v, Fact.h FROM Fact ORDER BY Fact.h DESC "
+       "LIMIT 30",
+       "SELECT Fact.v, Fact.h FROM Fact GROUP BY Fact.v, Fact.h "
+       "ORDER BY Fact.h DESC LIMIT 30"},
+  };
+  for (uint32_t shards : {1u, 4u}) {
+    for (uint32_t budget : {1u, 0u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " budget=" + std::to_string(budget));
+      GhostDBConfig cfg = MakeConfig(budget);
+      cfg.shard_count = shards;
+      GhostDB db(cfg);
+      BuildDb(&db);
+      uint64_t spill_runs = 0;
+      for (const auto& [distinct, grouped] : kPairs) {
+        SCOPED_TRACE(distinct);
+        auto d = db.Query(distinct);
+        auto g = db.Query(grouped);
+        ASSERT_TRUE(d.ok()) << d.status().ToString();
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        EXPECT_EQ(RenderedRows(*d), RenderedRows(*g));
+        EXPECT_EQ(d->total_rows, g->total_rows);
+        EXPECT_EQ(d->metrics.sort_spill_runs, g->metrics.sort_spill_runs);
+        EXPECT_EQ(d->metrics.sort_spill_pages, g->metrics.sort_spill_pages);
+        spill_runs += d->metrics.sort_spill_runs;
+        auto stmt = sql::Parse(distinct);
+        ASSERT_TRUE(stmt.ok());
+        auto bound =
+            sql::Bind(std::get<sql::SelectStmt>(*stmt), db.schema(), distinct);
+        ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+        auto expected = reference::Evaluate(db.schema(), db.staged(), *bound);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        EXPECT_EQ(d->rows, *expected);
+      }
+      if (budget == 1) {
+        EXPECT_GT(spill_runs, 0u) << "1-buffer budget must force overflow";
+      } else {
+        EXPECT_EQ(spill_runs, 0u) << "default budget stays on the hash path";
+      }
+    }
+  }
+}
+
+TEST(DistinctAsGroupingTest, ThousandIntKeysStayInMemoryAtDefaultQuota) {
+  // A zero-aggregate group keeps only its canonical key, so the budget
+  // charges 4 bytes per INT key: 1,000 keys fit the default session's
+  // 8-buffer (16 KiB) budget. Charging a full aggregate group (72 bytes)
+  // would spill after about 227 keys, and the spill's flash writes and
+  // frees would shift where a long serving run exhausts flash.
+  GhostDB db(MakeConfig());
+  ASSERT_TRUE(db.Execute("CREATE TABLE K (id INT, k INT, h INT HIDDEN)").ok());
+  auto staging = db.MutableStaging("K");
+  ASSERT_TRUE(staging.ok());
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE((*staging)
+                    ->AppendRow({Value::Int32((i * 7919) % 1000),
+                                 Value::Int32(i % 100)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.Build().ok());
+  auto session = db.OpenSession({});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_EQ(db.device().ram().total_buffers() / 4, 8u);
+  for (const char* sql : {"SELECT DISTINCT K.k FROM K WHERE K.h >= 0",
+                          "SELECT K.k FROM K WHERE K.h >= 0 GROUP BY K.k"}) {
+    SCOPED_TRACE(sql);
+    auto r = (*session)->Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->total_rows, 1000u);
+    EXPECT_EQ(r->metrics.sort_spill_runs, 0u);
+  }
 }
 
 TEST(GroupAggSpillTest, ForcedSpillStaysOracleExact) {

@@ -231,9 +231,10 @@ TEST_F(OperatorPipelineTest, ExplainShowsPipeline) {
       "ORDER BY T1.v LIMIT 4");
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("pipeline"), std::string::npos);
-  EXPECT_NE(text->find("Limit"), std::string::npos);
-  EXPECT_NE(text->find("Sort"), std::string::npos);
-  EXPECT_NE(text->find("Distinct"), std::string::npos);
+  // ORDER BY ... LIMIT is one bounded Sort; DISTINCT is a zero-aggregate
+  // GroupAggregate.
+  EXPECT_NE(text->find("Sort (top 4)"), std::string::npos) << *text;
+  EXPECT_NE(text->find("GroupAggregate"), std::string::npos) << *text;
   EXPECT_NE(text->find("SJoin"), std::string::npos);
   EXPECT_NE(text->find("VisSelect"), std::string::npos);
 }

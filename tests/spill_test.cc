@@ -2,8 +2,7 @@
 // over inputs far larger than the session's relational-tail budget must
 // spill sorted runs to flash and still answer exactly like the oracle.
 // Before this machinery the only options were an unbounded secure working
-// set or (with the budget enforced, spill_enabled=false) a clean
-// ResourceExhausted — both covered here.
+// set or a clean ResourceExhausted once the budget ran out.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,12 +21,11 @@ using catalog::Value;
 using core::GhostDB;
 using core::GhostDBConfig;
 
-GhostDBConfig SpillConfig(uint32_t budget_buffers, bool spill_enabled = true) {
+GhostDBConfig SpillConfig(uint32_t budget_buffers) {
   GhostDBConfig cfg;
   cfg.device.flash.logical_pages = 32 * 1024;
   cfg.retain_staged_data = true;  // for the oracle
   cfg.exec.sort_budget_buffers = budget_buffers;
-  cfg.exec.spill_enabled = spill_enabled;
   return cfg;
 }
 
@@ -173,31 +171,6 @@ TEST(SpillTest, DistinctOrderByLimitComposedUnderTinyBudget) {
   ExpectMatchesOracle(&db, sql, *r);
 }
 
-TEST(SpillTest, SpillDisabledFailsCleanlyAndSmallQueriesStillRun) {
-  GhostDB db(SpillConfig(1, /*spill_enabled=*/false));
-  BuildBig(&db, 4000);
-  // The budget is enforced either way; without spilling it is a clean
-  // per-query ResourceExhausted, not an unbounded working set.
-  auto sort = db.Query(
-      "SELECT R.id, R.v FROM R WHERE R.h >= 0 ORDER BY R.v");
-  EXPECT_TRUE(sort.status().IsResourceExhausted())
-      << sort.status().ToString();
-  auto distinct = db.Query(
-      "SELECT DISTINCT R.v, R.d FROM R WHERE R.h >= 0");
-  EXPECT_TRUE(distinct.status().IsResourceExhausted())
-      << distinct.status().ToString();
-  // The fused top-K fits the budget, so the same data + ORDER BY still
-  // serves with LIMIT — the headline win of the fusion.
-  const char* topk =
-      "SELECT R.id, R.v FROM R WHERE R.h >= 0 ORDER BY R.v LIMIT 5";
-  auto r = db.Query(topk);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectMatchesOracle(&db, topk, *r);
-  // And the failures left no flash behind.
-  auto again = db.Query(topk);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-}
-
 TEST(SpillTest, TinySessionPartitionSpillsInsteadOfFailing) {
   // No config override: the budget derives from the session's own RAM
   // partition quota. A 2-buffer session sorts 4000 rows by spilling.
@@ -216,8 +189,13 @@ TEST(SpillTest, TinySessionPartitionSpillsInsteadOfFailing) {
   ExpectMatchesOracle(&db, sql, *r);
 }
 
-TEST(SpillTest, TinySessionPartitionWithoutSpillingIsResourceExhausted) {
-  GhostDB db(SpillConfig(0, /*spill_enabled=*/false));
+TEST(SpillTest, TinySessionOutOfFlashIsResourceExhaustedNamingTheSession) {
+  // A spill that cannot get flash fails the query with a clean per-session
+  // ResourceExhausted (no pages leaked), and the error names the session
+  // so "flash exhausted" is actionable.
+  GhostDBConfig cfg = SpillConfig(0);
+  cfg.device.flash.logical_pages = 400;  // room to load, not to spill
+  GhostDB db(cfg);
   BuildBig(&db, 4000);
   core::SessionOptions options;
   options.name = "tiny";
@@ -227,7 +205,6 @@ TEST(SpillTest, TinySessionPartitionWithoutSpillingIsResourceExhausted) {
   auto r = (*session)->Query(
       "SELECT R.id, R.v FROM R WHERE R.h >= 0 ORDER BY R.v");
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  // The failure names the session so "budget exceeded" is actionable.
   EXPECT_NE(r.status().message().find("tiny"), std::string::npos)
       << r.status().ToString();
 }
