@@ -39,7 +39,7 @@ GhostDBConfig MakeConfig(const ghostdb::device::FaultConfig& fault) {
   cfg.device.flash.logical_pages = 64 * 1024;
   cfg.exec.sort_budget_buffers = 1;  // force spill traffic through flash
   cfg.exec.result_row_limit = 4;     // results stay on the secure display
-  cfg.fault_config = fault;
+  cfg.device.fault = fault;
   return cfg;
 }
 

@@ -63,9 +63,10 @@ uint32_t DeclaredShapeWeight(const sql::BoundQuery& query) {
 
 GhostDB::GhostDB(GhostDBConfig config)
     : config_(std::move(config)), plan_cache_(config_.plan_cache_capacity) {
-  if (config_.encrypt_external_flash &&
-      !config_.device.flash.cipher_key.has_value()) {
-    // Derive the at-rest key from the device master secret.
+  if (!config_.device.flash.cipher_key.has_value()) {
+    // External NAND sits outside the secure perimeter (Fig 2), so pages
+    // are always encrypted; derive the at-rest key from the device master
+    // secret unless one was given.
     const char* label = "ghostdb-at-rest-key";
     auto digest = crypto::Sha256::Hash(
         reinterpret_cast<const uint8_t*>(label), 19);
@@ -73,10 +74,6 @@ GhostDB::GhostDB(GhostDBConfig config)
     std::copy(digest.begin(), digest.end(), key.begin());
     config_.device.flash.cipher_key = key;
   }
-  // Every shard device (this one and the ones Build() creates) carries the
-  // same fault schedule; Build() reseeds each onto its own lane and arms
-  // them once loading is done.
-  config_.device.fault = config_.fault_config;
   // Shard 0 exists from the start, so device() works before Build().
   shards_.push_back(std::make_unique<Shard>(config_.device));
 }
@@ -147,16 +144,9 @@ Status GhostDB::Build() {
         "smart USB keys on one host");
   }
   GHOSTDB_RETURN_NOT_OK(exec::ValidateExecConfig(config_.exec));
-  GHOSTDB_RETURN_NOT_OK(device::ValidateFaultConfig(config_.fault_config));
-  // Effective width: the explicit ExecConfig override if set, else the
-  // database-wide knob. Stamp it back into the exec config so the planner
-  // and executor see one value.
-  if (config_.exec.worker_threads == 0) {
-    config_.exec.worker_threads = config_.worker_threads;
-  }
-  if (config_.exec.worker_threads > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(config_.exec.worker_threads,
-                                               config_.pin_worker_threads);
+  GHOSTDB_RETURN_NOT_OK(device::ValidateFaultConfig(config_.device.fault));
+  if (config_.worker_threads > 1) {
+    pool_ = std::make_unique<exec::ThreadPool>(config_.worker_threads);
   }
   if (!schema_.finalized()) {
     GHOSTDB_RETURN_NOT_OK(schema_.Finalize());
@@ -165,6 +155,7 @@ Status GhostDB::Build() {
       staged_.emplace_back(&schema_, t);
     }
   }
+  IndexedAttrs indexed_attrs;
   if (config_.indexed_attrs_by_name.has_value()) {
     std::map<TableId, std::vector<catalog::ColumnId>> resolved;
     for (const auto& [table_name, columns] :
@@ -180,7 +171,7 @@ Status GhostDB::Build() {
       }
       resolved.try_emplace(t);  // ensure entry exists even if empty
     }
-    config_.loader.indexed_attrs = std::move(resolved);
+    indexed_attrs = std::move(resolved);
   }
   // Sharded fleets: hash-partition the root's rows across the devices
   // (every other table replicates) and install each shard's local→global
@@ -205,7 +196,7 @@ Status GhostDB::Build() {
         &schema_, &shard.device->channel());
     shard.untrusted->set_pool(pool_.get());
     Loader loader(&schema_, shard.device.get(), shard.allocator.get(),
-                  shard.untrusted.get(), config_.loader);
+                  shard.untrusted.get(), indexed_attrs);
     GHOSTDB_ASSIGN_OR_RETURN(shard.store,
                              loader.Load(sharded ? parts.shards[s] : staged_));
     if (sharded && schema_.table_count() > 0) {
@@ -221,7 +212,7 @@ Status GhostDB::Build() {
   // The planner reads shard 0's store (statistics differ per shard only in
   // their samples; the plan is shared fleet-wide through the plan cache).
   planner_ = std::make_unique<plan::Planner>(&schema_, &shards_[0]->store,
-                                             config_.planner);
+                                             config_.device.flash.page_size);
   if (!config_.retain_staged_data) {
     staged_.clear();
     staged_.shrink_to_fit();
@@ -232,7 +223,7 @@ Status GhostDB::Build() {
   // doesn't replay shard 0's schedule N times.
   for (uint32_t s = 0; s < config_.shard_count; ++s) {
     device::FaultInjector& injector = shard_device(s).fault_injector();
-    injector.Reseed(config_.fault_config.seed +
+    injector.Reseed(config_.device.fault.seed +
                     0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(s));
     injector.set_armed(true);
   }
@@ -497,7 +488,7 @@ Result<exec::QueryResult> GhostDB::RunSelect(const sql::BoundQuery& query,
     }
     return RunRecoverable(&coordinator, [&]() {
       deferred = exec::EncodedRows{};
-      return coordinator.executor->Execute(query, *plan, &baseline, binding,
+      return coordinator.executor->Execute(query, *plan, baseline, *binding,
                                            &deferred, &prefetch[0]);
     });
   }();
@@ -570,9 +561,11 @@ Result<exec::QueryResult> GhostDB::RunFanout(
                                " reset during scatter");
       }
       if (s != 0) shard.untrusted->ReceiveQuery(query.sql);
-      return shard.executor->Execute(
-          query, plan, &leg_base, binding_for(s),
-          agg_boundary ? nullptr : &shard_rows[s], &(*prefetch)[s], &params);
+      // Aggregate-boundary legs emit partials, never rows: their
+      // shard_rows stay empty.
+      return shard.executor->Execute(query, plan, leg_base, *binding_for(s),
+                                     &shard_rows[s], &(*prefetch)[s],
+                                     &params);
     });
   };
   {
@@ -616,8 +609,8 @@ Result<exec::QueryResult> GhostDB::RunFanout(
       exec::QueryResult gathered,
       RunRecoverable(&coordinator, [&]() {
         *deferred = exec::EncodedRows{};
-        return coordinator.executor->Execute(query, plan, &gather_base,
-                                             binding_for(0), deferred,
+        return coordinator.executor->Execute(query, plan, gather_base,
+                                             *binding_for(0), deferred,
                                              nullptr, &gparams);
       }));
 

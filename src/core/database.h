@@ -47,11 +47,12 @@
 namespace ghostdb::core {
 
 struct GhostDBConfig {
+  /// Hardware of every shard's device. Its seeded fault schedule
+  /// (`device.fault`) is validated by Build() and armed only once loading
+  /// is done, each shard on its own seed lane; flash pages are always
+  /// encrypted, under `device.flash.cipher_key` or else a key derived from
+  /// the device master secret.
   device::DeviceConfig device;
-  /// Seeded fault schedule, applied to every shard's device (each on its
-  /// own seed lane). Inert by default; validated and armed by Build() so
-  /// the load phase always runs fault-free.
-  device::FaultConfig fault_config;
   /// Simulated SecureDevices the logical database shards across. The
   /// loader hash-partitions the schema root's rows over the fleet (every
   /// other table replicates in full, so parent→child foreign keys stay
@@ -63,13 +64,14 @@ struct GhostDBConfig {
   /// arbiter, so the per-device transcript contract is unchanged. 1 = the
   /// classic single device.
   uint32_t shard_count = 1;
-  /// Encrypt external NAND pages (the chip sits outside the secure
-  /// perimeter, Fig 2). Zero simulated-time cost; real crypto exercised.
-  bool encrypt_external_flash = true;
   /// Keep the staged (owner-side) data after Build() — used by tests to
   /// cross-check results against the reference oracle.
   bool retain_staged_data = false;
-  /// Name-based alternative to loader.indexed_attrs (resolved at Build()).
+  /// Which hidden attributes get climbing indexes, as table name -> column
+  /// names (resolved at Build()). nullopt = every hidden non-foreign-key
+  /// attribute (the paper's fully indexed model); an empty map indexes
+  /// nothing, and a table listed with no columns gets no attribute
+  /// indexes. Id indexes are always built.
   std::optional<std::map<std::string, std::vector<std::string>>>
       indexed_attrs_by_name;
   /// Most query shapes the plan cache keeps (least-recently-used shapes
@@ -81,13 +83,10 @@ struct GhostDBConfig {
   /// 1 = fully serial (no threads spawned), N = N-way parallel visible
   /// scans / spill sorts / batch key extraction. Thread count never
   /// changes results or the channel transcript — the leak sweep asserts
-  /// it. Build() rejects 0 and absurd values with InvalidArgument.
+  /// it. Build() rejects 0 and absurd values with InvalidArgument. Pool
+  /// workers are pinned round-robin across cores (Linux; best-effort).
   uint32_t worker_threads = 1;
-  /// Pin pool workers round-robin across cores (Linux; best-effort).
-  bool pin_worker_threads = true;
-  LoaderConfig loader;
   exec::ExecConfig exec;
-  plan::PlannerConfig planner;
 };
 
 /// \brief Result of QueryBatch(): per-statement answers plus batch-level
@@ -166,9 +165,6 @@ class GhostDB {
   Result<std::string> Explain(const std::string& sql);
 
   bool built() const { return built_; }
-  /// The PC-side worker pool (null until Build(), or when
-  /// worker_threads == 1).
-  exec::ThreadPool* worker_pool() { return pool_.get(); }
   const catalog::Schema& schema() const { return schema_; }
   /// Shard 0's stack — the whole database on a single device, the
   /// coordinator on a fleet. The engine and store exist from Build().

@@ -16,6 +16,7 @@ void Channel::Transfer(Direction direction, const std::string& label,
   }
   transcript_.push_back(
       ChannelMessage{direction, label, bytes, digest, current_session_});
+  bytes_moved_[static_cast<size_t>(direction)] += bytes;
   if (throughput_ > 0 && bytes > 0) {
     auto scope = clock_->Enter("comm");
     clock_->Advance(static_cast<SimNanos>(
@@ -29,17 +30,13 @@ void Channel::Transfer(Direction direction, const std::string& label,
 void Channel::EraseTranscript(size_t first, size_t count) {
   first = std::min(first, transcript_.size());
   count = std::min(count, transcript_.size() - first);
+  for (size_t i = first; i < first + count; ++i) {
+    const ChannelMessage& m = transcript_[i];
+    bytes_moved_[static_cast<size_t>(m.direction)] -= m.bytes;
+  }
   transcript_.erase(
       transcript_.begin() + static_cast<std::ptrdiff_t>(first),
       transcript_.begin() + static_cast<std::ptrdiff_t>(first + count));
-}
-
-uint64_t Channel::BytesMoved(Direction direction) const {
-  uint64_t total = 0;
-  for (const auto& m : transcript_) {
-    if (m.direction == direction) total += m.bytes;
-  }
-  return total;
 }
 
 }  // namespace ghostdb::device

@@ -10,6 +10,7 @@
 //    only information Secure ever emits is the query itself.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -61,7 +62,10 @@ class Channel {
   }
 
   const std::vector<ChannelMessage>& transcript() const { return transcript_; }
-  void ClearTranscript() { transcript_.clear(); }
+  void ClearTranscript() {
+    transcript_.clear();
+    bytes_moved_ = {};
+  }
   size_t transcript_size() const { return transcript_.size(); }
 
   /// Removes exactly the `count` messages starting at index `first` — the
@@ -76,8 +80,12 @@ class Channel {
   void set_current_session(int32_t session) { current_session_ = session; }
   int32_t current_session() const { return current_session_; }
 
-  /// Total bytes moved in `direction` since the transcript was cleared.
-  uint64_t BytesMoved(Direction direction) const;
+  /// Total bytes moved in `direction` over the messages the transcript
+  /// holds (erased and cleared messages no longer count). O(1): kept as a
+  /// running total, because every query's metrics read it.
+  uint64_t BytesMoved(Direction direction) const {
+    return bytes_moved_[static_cast<size_t>(direction)];
+  }
 
   double throughput() const { return throughput_; }
   void set_throughput(double bytes_per_sec) { throughput_ = bytes_per_sec; }
@@ -93,6 +101,8 @@ class Channel {
   int32_t current_session_ = -1;
   FaultInjector* injector_ = nullptr;
   std::vector<ChannelMessage> transcript_;
+  /// Per-direction sum of transcript_[i].bytes, indexed by Direction.
+  std::array<uint64_t, 2> bytes_moved_{};
 };
 
 }  // namespace ghostdb::device

@@ -21,8 +21,8 @@ double ToUnit(uint64_t x) {
 }
 
 Status BadProbability(const char* name, double value) {
-  return Status::InvalidArgument("fault_config." + std::string(name) + " = " +
-                                 std::to_string(value) +
+  return Status::InvalidArgument("device.fault." + std::string(name) +
+                                 " = " + std::to_string(value) +
                                  " is not a probability in [0, 1]");
 }
 
@@ -67,14 +67,9 @@ Status ValidateFaultConfig(const FaultConfig& config) {
       return BadProbability(p.name, p.value);
     }
   }
-  if (config.retry_enabled && config.flash_retry_budget == 0) {
-    return Status::InvalidArgument(
-        "fault_config.flash_retry_budget must be nonzero while "
-        "retry_enabled; set retry_enabled=false to disable retries");
-  }
   if (config.flash_retry_budget > 64) {
     return Status::InvalidArgument(
-        "fault_config.flash_retry_budget = " +
+        "device.fault.flash_retry_budget = " +
         std::to_string(config.flash_retry_budget) +
         " exceeds the sane bound of 64");
   }
@@ -174,7 +169,7 @@ Status FaultInjector::OnFlashOp(FaultSite site) {
       return Status::IOError(std::string(kTag) + " permanent " +
                              FaultSiteName(site) + " fault");
     }
-    if (!config_.retry_enabled || retries >= config_.flash_retry_budget) {
+    if (retries >= config_.flash_retry_budget) {
       return Status::IOError(std::string(kTag) + " transient " +
                              FaultSiteName(site) + " fault persisted after " +
                              std::to_string(retries) + " retries");

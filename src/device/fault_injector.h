@@ -79,11 +79,9 @@ struct FaultConfig {
   /// Of the flash faults that fire, the fraction that are transient
   /// (retryable); the rest are permanent.
   double transient_fraction = 0.75;
-  /// Retry transient flash faults (with exponential backoff charged to the
-  /// simulated clock) before giving up.
-  bool retry_enabled = true;
-  /// Retries allowed per flash operation before a transient fault
-  /// escalates to an error. Must be nonzero while retry_enabled.
+  /// Retries of a transient flash fault (with exponential backoff charged
+  /// to the simulated clock) allowed per flash operation before it
+  /// escalates to an error. 0 = no retries.
   uint32_t flash_retry_budget = 3;
   /// Base backoff before re-issuing a faulted flash operation; doubles per
   /// retry. Charged to the "fault-retry" clock category.
@@ -92,9 +90,9 @@ struct FaultConfig {
   SimNanos channel_stall = 500 * kMicrosecond;
 };
 
-/// Rejects malformed schedules (probabilities outside [0, 1], a zero or
-/// absurd retry budget with retries enabled) with InvalidArgument. Called
-/// by GhostDB::Build() alongside ValidateExecConfig.
+/// Rejects malformed schedules (probabilities outside [0, 1], an absurd
+/// retry budget) with InvalidArgument. Called by GhostDB::Build()
+/// alongside ValidateExecConfig.
 Status ValidateFaultConfig(const FaultConfig& config);
 
 /// \brief Deterministic per-device fault source. See file comment.

@@ -16,8 +16,9 @@ namespace ghostdb::device {
 
 /// Hardware parameters of the Secure device (Table 1 defaults).
 struct DeviceConfig {
-  size_t ram_bytes = 64 * kKiB;  ///< Secure-chip RAM (32 buffers of 2 KB).
-  size_t buffer_size = 2048;     ///< One flash page.
+  /// Secure-chip RAM, cut into buffers of one flash page each (32 buffers
+  /// of 2 KB): operators fill a buffer and write it as one page.
+  size_t ram_bytes = 64 * kKiB;
   /// USB 2.0 full speed = 12 Mb/s = 1.5 MB/s.
   double channel_throughput_bytes_per_sec = 1.5e6;
   flash::FlashConfig flash;
@@ -34,7 +35,7 @@ class SecureDevice {
   explicit SecureDevice(DeviceConfig config)
       : config_(config),
         clock_(std::make_unique<SimClock>()),
-        ram_(config.ram_bytes, config.buffer_size),
+        ram_(config.ram_bytes, config.flash.page_size),
         flash_(config.flash, clock_.get()),
         channel_(clock_.get(), config.channel_throughput_bytes_per_sec),
         arbiter_(&channel_),

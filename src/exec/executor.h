@@ -11,7 +11,6 @@
 
 #include "exec/operator.h"
 #include "plan/physical_plan.h"
-#include "plan/strategy.h"
 
 namespace ghostdb::exec {
 
@@ -114,41 +113,33 @@ class SecureExecutor {
   /// Runs `query` under `plan`. The query text must already have been
   /// announced to Untrusted by the caller, and — in multi-session serving —
   /// the caller must hold the channel arbiter's admission for `session`.
-  /// `baseline`, when given, extends the cost accounting back to before
-  /// the announcement. `session` (optional) scopes the run: RAM comes from
-  /// the session's partition, and the page-leak check reports against the
-  /// session. `deferred` (optional) switches the rendering surface to the
-  /// two-phase mode: the result comes back with `rows` empty and the
-  /// encoded cells in `deferred`, for the caller to DecodeInto() once it
-  /// has released its channel admission. `prefetch` (optional) carries the
-  /// PC's speculatively evaluated visible answers into the operators.
-  /// `fanout` (optional) runs this call as one leg of a sharded
-  /// scatter-gather: kScatter executes the plan re-rooted at the fan-out
-  /// boundary and emits seq-stamped rows (into `deferred`) or partial
-  /// aggregates; kGather executes the tail of the plan over the combined
-  /// shard outputs.
+  /// `baseline` is taken before the announcement, so the cost accounting
+  /// covers it. `session` scopes the run: RAM comes from the session's
+  /// partition, and the page-leak check reports against the session. The
+  /// rendering surface has two phases: the result comes back with `rows`
+  /// empty and the encoded cells in `deferred`, for the caller to
+  /// DecodeInto() once it has released its channel admission. `prefetch`
+  /// (optional) carries the PC's speculatively evaluated visible answers
+  /// into the operators. `fanout` (optional) runs this call as one leg of
+  /// a sharded scatter-gather: kScatter executes the plan re-rooted at the
+  /// fan-out boundary and emits seq-stamped rows (into `deferred`) or
+  /// partial aggregates; kGather executes the tail of the plan over the
+  /// combined shard outputs.
   Result<QueryResult> Execute(const sql::BoundQuery& query,
                               const plan::PhysicalPlan& plan,
-                              const MetricSnapshot* baseline = nullptr,
-                              const SessionBinding* session = nullptr,
-                              EncodedRows* deferred = nullptr,
-                              untrusted::VisPrefetch* prefetch = nullptr,
+                              const MetricSnapshot& baseline,
+                              const SessionBinding& session,
+                              EncodedRows* deferred,
+                              untrusted::VisPrefetch* prefetch,
                               const FanoutParams* fanout = nullptr);
-
-  /// Convenience overload: lowers a bare PlanChoice first (benches and
-  /// tests pin strategy choices without building trees by hand).
-  Result<QueryResult> Execute(const sql::BoundQuery& query,
-                              const plan::PlanChoice& choice,
-                              const MetricSnapshot* baseline = nullptr,
-                              const SessionBinding* session = nullptr);
 
  private:
   /// The tree-driving body of Execute(); runs with the RAM partition
   /// already switched to the session's.
   Result<QueryResult> ExecuteTree(const sql::BoundQuery& query,
                                   const plan::PhysicalPlan& plan,
-                                  const MetricSnapshot* baseline,
-                                  const SessionBinding* session,
+                                  const MetricSnapshot& baseline,
+                                  const SessionBinding& session,
                                   EncodedRows* deferred,
                                   untrusted::VisPrefetch* prefetch,
                                   const FanoutParams* fanout);

@@ -21,11 +21,6 @@ Status ValidateExecConfig(const ExecConfig& config) {
         "ExecConfig batch-row clamp is inverted: need 1 <= min_batch_rows "
         "<= max_batch_rows");
   }
-  if (config.worker_threads > 64) {
-    return Status::InvalidArgument(
-        "ExecConfig.worker_threads > 64: morsel shards would be smaller "
-        "than a cache line's worth of useful work");
-  }
   if (config.pad_spill_runs &&
       config.volume_padding == VolumePadding::kOff) {
     return Status::InvalidArgument(

@@ -108,12 +108,6 @@ struct ExecConfig {
   /// pledged none) — visible inputs only, so the budget is cacheable.
   /// Tests and benches set tiny values to force the spill paths.
   uint32_t sort_budget_buffers = 0;
-  /// Parallelism degree for morsel-driven host-side work (visible scans,
-  /// spill-generation sorts, batch key extraction). 0 = inherit the
-  /// database-wide GhostDBConfig::worker_threads (stamped by
-  /// GhostDB::Build); nonzero = explicit override for standalone-executor
-  /// tests. Thread count never changes results or the channel transcript.
-  uint32_t worker_threads = 0;
   /// Result-volume defense (see VolumePadding). Dummy rows are synthesized
   /// by a planner-emitted VolumePad root operator and stripped at the
   /// QueryResult boundary; answers are oracle-exact in every mode.
@@ -130,7 +124,7 @@ struct ExecConfig {
 };
 
 /// Rejects nonsensical knob combinations (zero/absurd batch_bytes, inverted
-/// batch-row clamps, worker_threads past the supported ceiling) with
+/// batch-row clamps, padding knobs that contradict each other) with
 /// InvalidArgument instead of letting them silently misbehave downstream.
 Status ValidateExecConfig(const ExecConfig& config);
 
@@ -327,9 +321,6 @@ struct ExecContext {
   /// inline). Workers obey the thread_pool.h contract — pure host value
   /// work, never device state, deterministic shard boundaries.
   ThreadPool* pool = nullptr;
-  /// Effective parallelism degree for this query: min(plan.parallelism if
-  /// set, pool width), 1 without a pool.
-  uint32_t parallelism = 1;
   /// Scatter-shard mode: stamp each projected row's global anchor id into
   /// ColumnBatch::seqs (and EncodedRows::seqs at the boundary) so the
   /// gather phase can k-way merge per-shard streams back into the exact

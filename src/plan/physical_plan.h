@@ -78,11 +78,6 @@ struct PhysicalPlan {
   /// kept so cached executions don't rebuild it per statement. Empty when
   /// the plan was lowered without a planner (pinned benches).
   exec::BatchLayout value_layout;
-  /// Morsel-parallelism degree for host-side value work, stamped by the
-  /// planner from ExecConfig::worker_threads. Derived from visible config
-  /// only; the executor clamps it to the live pool's width. 0 = use the
-  /// pool's full width.
-  uint32_t parallelism = 0;
 
   /// Indented tree rendering (EXPLAIN).
   std::string ToString(const catalog::Schema& schema) const;

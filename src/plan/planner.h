@@ -1,10 +1,11 @@
-// Strategy selection. Two modes:
-//  * kRule — the paper's observed decision rules (section 6.4): prefer
-//    Cross variants whenever applicable; Pre-filtering for selective
-//    Visible selections, Post-filtering otherwise, degrading to NoFilter
-//    when the Bloom filter cannot be made effective (Fig 10);
-//  * kCost — the cost-based optimizer the paper leaves as future work,
-//    built on plan/cost_model.h.
+// Strategy selection: the paper's observed decision rules (section 6.4).
+// Cross variants whenever hidden predicates sit in the table's subtree;
+// Pre-filtering for Visible selections with sV <= kPreFilterMaxSelectivity,
+// Post-filtering otherwise, degrading to NoFilter (Cross-Pre for Cross)
+// when the Bloom filter cannot reach ExecConfig::bloom_min_bpe within
+// ExecConfig::bloom_max_buffers device buffers (Fig 10). The inputs are
+// Visible counts and hidden-column statistics held on the key, so the
+// choice — and the plan cache keyed on it — never depends on Hidden rows.
 #pragma once
 
 #include <map>
@@ -14,28 +15,25 @@
 #include "common/result.h"
 #include "core/secure_store.h"
 #include "exec/executor.h"
-#include "plan/cost_model.h"
 #include "plan/physical_plan.h"
 #include "plan/strategy.h"
 #include "sql/binder.h"
 
 namespace ghostdb::plan {
 
-struct PlannerConfig {
-  enum class Mode { kRule, kCost };
-  Mode mode = Mode::kRule;
-  /// Rule mode: Visible selectivity at or below this prefers Pre-filtering
-  /// (the paper's crossover sits near 0.1; Fig 9/10).
-  double pre_filter_threshold = 0.1;
-};
+/// Visible selectivity at or below which Pre-filtering wins (the paper's
+/// measured crossover; Figs 9-10).
+inline constexpr double kPreFilterMaxSelectivity = 0.1;
 
 /// \brief Chooses Visible-selection strategies and the projection
 /// algorithm for a bound query.
 class Planner {
  public:
+  /// `buffer_bytes`: one device RAM buffer (= one flash page), the unit of
+  /// the Bloom-filter RAM cap.
   Planner(const catalog::Schema* schema, const core::SecureStore* store,
-          PlannerConfig config)
-      : schema_(schema), store_(store), config_(config) {}
+          size_t buffer_bytes)
+      : schema_(schema), store_(store), buffer_bytes_(buffer_bytes) {}
 
   /// `vis_counts`: per table with visible predicates, the Vis result count
   /// (supplied by Untrusted; visible information).
@@ -70,7 +68,7 @@ class Planner {
  private:
   const catalog::Schema* schema_;
   const core::SecureStore* store_;
-  PlannerConfig config_;
+  size_t buffer_bytes_;
 };
 
 }  // namespace ghostdb::plan

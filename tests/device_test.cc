@@ -327,6 +327,46 @@ TEST(ChannelTest, TranscriptRecordsEverything) {
   EXPECT_EQ(ch.BytesMoved(Direction::kToUntrusted), 4u);
 }
 
+TEST(ChannelTest, BytesMovedMatchesTranscriptThroughEraseAndClear) {
+  SimClock clock;
+  Channel ch(&clock, 1e6);
+  auto expect_sums_match = [&](const char* when) {
+    uint64_t to_secure = 0;
+    uint64_t to_untrusted = 0;
+    for (const ChannelMessage& m : ch.transcript()) {
+      (m.direction == Direction::kToSecure ? to_secure : to_untrusted) +=
+          m.bytes;
+    }
+    EXPECT_EQ(ch.BytesMoved(Direction::kToSecure), to_secure) << when;
+    EXPECT_EQ(ch.BytesMoved(Direction::kToUntrusted), to_untrusted) << when;
+  };
+  uint8_t payload[3] = {1, 2, 3};
+  ch.Transfer(Direction::kToUntrusted, "query", payload, 3);
+  for (uint64_t i = 1; i <= 6; ++i) {
+    ch.TransferSized(i % 2 == 0 ? Direction::kToSecure
+                                : Direction::kToUntrusted,
+                     "m", 100 * i);
+  }
+  expect_sums_match("after transfers");
+  EXPECT_EQ(ch.BytesMoved(Direction::kToSecure), 1200u);
+  EXPECT_EQ(ch.BytesMoved(Direction::kToUntrusted), 903u);
+  ch.EraseTranscript(2, 3);  // the 200-, 300- and 400-byte messages
+  expect_sums_match("after a middle erase");
+  EXPECT_EQ(ch.BytesMoved(Direction::kToSecure), 600u);
+  ch.EraseTranscript(5, 10);  // past the end: clamped to nothing
+  ch.EraseTranscript(3, 10);  // the tail, clamped
+  expect_sums_match("after clamped erases");
+  ch.TransferSized(Direction::kToSecure, "late", 7);
+  expect_sums_match("after a transfer following erases");
+  ch.ClearTranscript();
+  expect_sums_match("after clear");
+  EXPECT_EQ(ch.BytesMoved(Direction::kToSecure), 0u);
+  EXPECT_EQ(ch.BytesMoved(Direction::kToUntrusted), 0u);
+  ch.TransferSized(Direction::kToUntrusted, "after-clear", 11);
+  expect_sums_match("after clear and a transfer");
+  EXPECT_EQ(ch.BytesMoved(Direction::kToUntrusted), 11u);
+}
+
 TEST(ChannelTest, SamePayloadSameDigest) {
   SimClock clock;
   Channel ch(&clock, 1e6);
@@ -373,8 +413,11 @@ TEST(SecureDeviceTest, WiresComponentsTogether) {
 TEST(SecureDeviceTest, DefaultsMatchTable1) {
   DeviceConfig cfg;
   EXPECT_EQ(cfg.ram_bytes, 65536u);
-  EXPECT_EQ(cfg.buffer_size, 2048u);
   EXPECT_EQ(cfg.flash.page_size, 2048u);
+  // A RAM buffer is one flash page.
+  SecureDevice dev(cfg);
+  EXPECT_EQ(dev.ram().buffer_size(), cfg.flash.page_size);
+  EXPECT_EQ(dev.ram().total_buffers(), 32u);
   EXPECT_EQ(cfg.flash.read_page_latency, 25 * kMicrosecond);
   EXPECT_EQ(cfg.flash.write_page_latency, 200 * kMicrosecond);
   EXPECT_EQ(cfg.flash.byte_transfer_latency, 50u);

@@ -301,15 +301,15 @@ TEST(DifferentialFuzzTest, MatchesOracleUnderInjectedFaultSchedules) {
       cfg.exec.pad_spill_runs = true;
     }
     if (d % 2 == 1) cfg.exec.sort_budget_buffers = 1;
-    cfg.fault_config.enabled = true;
-    cfg.fault_config.seed = visible_seed * 31 + d;
-    cfg.fault_config.flash_read_p = 0.002;
-    cfg.fault_config.flash_write_p = 0.002;
-    cfg.fault_config.run_write_p = 0.01;
-    cfg.fault_config.ram_acquire_p = 0.01;
-    cfg.fault_config.channel_stall_p = 0.01;
-    cfg.fault_config.shard_reset_p = 0.02;
-    cfg.fault_config.transient_fraction = 0.5;
+    cfg.device.fault.enabled = true;
+    cfg.device.fault.seed = visible_seed * 31 + d;
+    cfg.device.fault.flash_read_p = 0.002;
+    cfg.device.fault.flash_write_p = 0.002;
+    cfg.device.fault.run_write_p = 0.01;
+    cfg.device.fault.ram_acquire_p = 0.01;
+    cfg.device.fault.channel_stall_p = 0.01;
+    cfg.device.fault.shard_reset_p = 0.02;
+    cfg.device.fault.transient_fraction = 0.5;
     GhostDB db(cfg);
     ASSERT_TRUE(fuzztest::BuildFuzzDb(&db, visible_seed, hidden_seed).ok());
     fuzztest::FuzzShape shape = fuzztest::MakeShape(visible_seed);
@@ -349,7 +349,7 @@ TEST(DifferentialFuzzTest, MatchesOracleUnderInjectedFaultSchedules) {
             "[fault-fuzz] shards=" + std::to_string(cfg.shard_count) +
             " padded=" + std::to_string(padded) +
             " visible_seed=" + std::to_string(visible_seed) +
-            " fault_seed=" + std::to_string(cfg.fault_config.seed) +
+            " fault_seed=" + std::to_string(cfg.device.fault.seed) +
             " query_seed=" + std::to_string(query_seed) + " sql=" + sql +
             " | " + why;
         RecordFailure(repro);

@@ -77,7 +77,7 @@ const char* kFanoutQuery =
 TEST(FaultConfigTest, BuildRejectsMalformedSchedules) {
   auto expect_rejected = [](device::FaultConfig fault, const char* what) {
     GhostDBConfig cfg;
-    cfg.fault_config = fault;
+    cfg.device.fault = fault;
     GhostDB db(cfg);
     ASSERT_TRUE(db.Execute("CREATE TABLE T (id INT, v INT)").ok());
     Status built = db.Build();
@@ -93,10 +93,6 @@ TEST(FaultConfigTest, BuildRejectsMalformedSchedules) {
   device::FaultConfig bad_fraction;
   bad_fraction.transient_fraction = 2.0;
   expect_rejected(bad_fraction, "transient fraction > 1");
-  device::FaultConfig zero_budget;
-  zero_budget.retry_enabled = true;
-  zero_budget.flash_retry_budget = 0;
-  expect_rejected(zero_budget, "zero retry budget with retries enabled");
   device::FaultConfig absurd_budget;
   absurd_budget.flash_retry_budget = 1000;
   expect_rejected(absurd_budget, "absurd retry budget");
@@ -107,13 +103,39 @@ TEST(FaultConfigTest, BuildRejectsMalformedSchedules) {
   EXPECT_FALSE(device::ValidateFaultConfig(negative).ok());
 }
 
+TEST(FaultConfigTest, ZeroRetryBudgetSurfacesTheFirstTransientFault) {
+  // flash_retry_budget = 0 is the no-retry schedule: the first transient
+  // flash fault escalates to a clean, tagged error without a retry.
+  auto cfg = BaseConfig();
+  cfg.device.fault.flash_retry_budget = 0;
+  auto db = MakeDb(cfg);
+  ASSERT_TRUE(db->built());
+  const uint32_t pages0 = db->allocator().used_pages();
+  db->device().fault_injector().ArmOnce(FaultSite::kFlashRead,
+                                        FaultKind::kTransient);
+  auto r = db->Query(kSortQuery);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(FaultInjector::IsInjectedFault(r.status()))
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("after 0 retries"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(db->device().fault_injector().flash_retries(), 0u);
+  EXPECT_EQ(db->device().fault_injector().faults_injected(), 1u);
+  EXPECT_EQ(db->allocator().used_pages(), pages0);
+
+  // The one-shot fault is spent: the same query now runs, retry-free.
+  auto again = db->Query(kSortQuery);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->metrics.flash_retries, 0u);
+}
+
 TEST(FaultConfigTest, DisabledScheduleInjectsNothing) {
   // Non-zero probabilities but enabled=false: the master switch wins and
   // the whole sweep is fault-free.
   auto cfg = BaseConfig();
-  cfg.fault_config.enabled = false;
-  cfg.fault_config.flash_read_p = 1.0;
-  cfg.fault_config.ram_acquire_p = 1.0;
+  cfg.device.fault.enabled = false;
+  cfg.device.fault.flash_read_p = 1.0;
+  cfg.device.fault.ram_acquire_p = 1.0;
   auto db = MakeDb(cfg);
   auto r = db->Query(kSortQuery);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -288,14 +310,14 @@ TEST(FaultInjectionTest, PaddedRecoveryIsHiddenDataInvariant) {
   // the two databases (hidden values steer index probes); erase-and-replay
   // must still converge both to the canonical fault-free wire image.
   auto cfg = PaddedConfig();
-  cfg.fault_config.enabled = true;
-  cfg.fault_config.seed = 1234;
-  cfg.fault_config.flash_read_p = 0.003;
-  cfg.fault_config.flash_write_p = 0.003;
-  cfg.fault_config.run_write_p = 0.01;
-  cfg.fault_config.ram_acquire_p = 0.02;
-  cfg.fault_config.channel_stall_p = 0.02;
-  cfg.fault_config.transient_fraction = 0.5;
+  cfg.device.fault.enabled = true;
+  cfg.device.fault.seed = 1234;
+  cfg.device.fault.flash_read_p = 0.003;
+  cfg.device.fault.flash_write_p = 0.003;
+  cfg.device.fault.run_write_p = 0.01;
+  cfg.device.fault.ram_acquire_p = 0.02;
+  cfg.device.fault.channel_stall_p = 0.02;
+  cfg.device.fault.transient_fraction = 0.5;
   auto db1 = MakeDb(cfg, /*hidden_seed=*/111);
   auto db2 = MakeDb(cfg, /*hidden_seed=*/999);
   auto clean_cfg = PaddedConfig();
@@ -399,11 +421,11 @@ TEST(FaultInjectionTest, ShardLegDeathIsInvisibleUnderPadding) {
 TEST(FaultInjectionTest, RetryMetricsAccumulateAcrossSessionsAndShards) {
   auto cfg = BaseConfig();
   cfg.shard_count = 2;
-  cfg.fault_config.enabled = true;
-  cfg.fault_config.seed = 77;
-  cfg.fault_config.flash_read_p = 0.01;
-  cfg.fault_config.transient_fraction = 1.0;  // retries always absorb
-  cfg.fault_config.flash_retry_budget = 16;
+  cfg.device.fault.enabled = true;
+  cfg.device.fault.seed = 77;
+  cfg.device.fault.flash_read_p = 0.01;
+  cfg.device.fault.transient_fraction = 1.0;  // retries always absorb
+  cfg.device.fault.flash_retry_budget = 16;
   auto db = MakeDb(cfg);
 
   core::SessionOptions a, b;
@@ -469,25 +491,26 @@ TEST(FaultInjectionTest, ChaosSweepStaysServiceableExactAndLeakFree) {
       cfg.exec.pad_spill_runs = true;
     }
     if (dice.Chance(0.5)) cfg.exec.sort_budget_buffers = 1;
-    cfg.fault_config.enabled = true;
-    cfg.fault_config.seed = dice.Uniform(1u << 30);
-    cfg.fault_config.flash_read_p = 0.002 * static_cast<double>(dice.Uniform(4));
-    cfg.fault_config.flash_write_p = 0.002 * static_cast<double>(dice.Uniform(4));
-    cfg.fault_config.page_alloc_p = 0.005 * static_cast<double>(dice.Uniform(3));
-    cfg.fault_config.run_write_p = 0.01 * static_cast<double>(dice.Uniform(3));
-    cfg.fault_config.channel_stall_p = 0.01 * static_cast<double>(dice.Uniform(4));
-    cfg.fault_config.ram_acquire_p = 0.01 * static_cast<double>(dice.Uniform(3));
-    cfg.fault_config.shard_reset_p = 0.05 * static_cast<double>(dice.Uniform(3));
-    cfg.fault_config.transient_fraction = 0.25 * static_cast<double>(dice.Uniform(5));
+    device::FaultConfig& fault = cfg.device.fault;
+    fault.enabled = true;
+    fault.seed = dice.Uniform(1u << 30);
+    fault.flash_read_p = 0.002 * static_cast<double>(dice.Uniform(4));
+    fault.flash_write_p = 0.002 * static_cast<double>(dice.Uniform(4));
+    fault.page_alloc_p = 0.005 * static_cast<double>(dice.Uniform(3));
+    fault.run_write_p = 0.01 * static_cast<double>(dice.Uniform(3));
+    fault.channel_stall_p = 0.01 * static_cast<double>(dice.Uniform(4));
+    fault.ram_acquire_p = 0.01 * static_cast<double>(dice.Uniform(3));
+    fault.shard_reset_p = 0.05 * static_cast<double>(dice.Uniform(3));
+    fault.transient_fraction = 0.25 * static_cast<double>(dice.Uniform(5));
     std::string repro = "[chaos] round=" + std::to_string(round) +
                         " shards=" + std::to_string(cfg.shard_count) +
                         " padded=" + std::to_string(padded) +
-                        " fault_seed=" + std::to_string(cfg.fault_config.seed);
+                        " fault_seed=" + std::to_string(fault.seed);
     SCOPED_TRACE(repro);
 
     auto db = MakeDb(cfg);
     auto oracle_cfg = cfg;
-    oracle_cfg.fault_config = device::FaultConfig{};
+    oracle_cfg.device.fault = device::FaultConfig{};
     auto oracle = MakeDb(oracle_cfg);
     bool had_failure = ::testing::Test::HasFailure();
 

@@ -377,13 +377,35 @@ TEST_F(E2eTest, ExplainDescribesPlan) {
 
 TEST_F(E2eTest, UnindexedHiddenAttributeFallsBackToScan) {
   GhostDBConfig cfg = SmallConfig();
-  cfg.loader.indexed_attrs.emplace();  // index nothing
+  cfg.indexed_attrs_by_name.emplace();  // index nothing
   GhostDB db(cfg);
   BuildDb(&db);
   ExpectMatchesOracle(&db, "SELECT T12.id FROM T12 WHERE T12.h < 30");
   ExpectMatchesOracle(&db,
                       "SELECT T0.id FROM T0, T1 WHERE T0.fk1 = T1.id AND "
                       "T1.h = 3");
+}
+
+TEST_F(E2eTest, RamBuffersFollowTheFlashPageSize) {
+  // A RAM buffer is one flash page: operators fill a buffer and write it
+  // as one page, so a larger page means fewer, larger buffers.
+  GhostDBConfig cfg = SmallConfig();
+  cfg.device.flash.page_size = 4096;
+  cfg.exec.sort_budget_buffers = 1;  // spill runs of 4 KiB pages
+  GhostDB db(cfg);
+  BuildDb(&db);
+  EXPECT_EQ(db.device().ram().buffer_size(), 4096u);
+  EXPECT_EQ(db.device().ram().total_buffers(),
+            cfg.device.ram_bytes / 4096);
+  ExpectMatchesOracle(&db,
+                      "SELECT T0.id, T1.id, T12.id, T1.v FROM T0, T1, T12 "
+                      "WHERE T0.fk1 = T1.id AND T1.fk12 = T12.id AND "
+                      "T1.v < 60 AND T12.h < 40");
+  ExpectMatchesOracle(&db,
+                      "SELECT T0.id, T0.hs FROM T0 WHERE T0.v < 70 "
+                      "ORDER BY T0.hs, T0.id");
+  ExpectMatchesOracle(&db,
+                      "SELECT T0.v, COUNT(*) FROM T0 GROUP BY T0.v");
 }
 
 TEST_F(E2eTest, QueriesBeforeBuildFail) {

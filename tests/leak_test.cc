@@ -638,14 +638,14 @@ TEST(LeakTest, InjectedFaultsAreTranscriptInvariantUnderPaddedModes) {
   cfg.exec.pad_spill_runs = true;
   cfg.exec.sort_budget_buffers = 1;  // spill paths: run-write faults live
   auto faulted = cfg;
-  faulted.fault_config.enabled = true;
-  faulted.fault_config.seed = 4242;
-  faulted.fault_config.flash_read_p = 0.004;
-  faulted.fault_config.flash_write_p = 0.004;
-  faulted.fault_config.run_write_p = 0.02;
-  faulted.fault_config.ram_acquire_p = 0.03;
-  faulted.fault_config.channel_stall_p = 0.02;
-  faulted.fault_config.transient_fraction = 0.5;
+  faulted.device.fault.enabled = true;
+  faulted.device.fault.seed = 4242;
+  faulted.device.fault.flash_read_p = 0.004;
+  faulted.device.fault.flash_write_p = 0.004;
+  faulted.device.fault.run_write_p = 0.02;
+  faulted.device.fault.ram_acquire_p = 0.03;
+  faulted.device.fault.channel_stall_p = 0.02;
+  faulted.device.fault.transient_fraction = 0.5;
 
   GhostDB db1(faulted), db2(faulted), canon(cfg);
   BuildDb(&db1, /*hidden_seed=*/111);

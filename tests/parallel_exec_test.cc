@@ -331,10 +331,6 @@ TEST(ParallelConfigTest, ValidateExecConfigRejectsAbsurdKnobs) {
   exec::ExecConfig zero_min = good;
   zero_min.min_batch_rows = 0;
   EXPECT_TRUE(exec::ValidateExecConfig(zero_min).IsInvalidArgument());
-
-  exec::ExecConfig too_wide = good;
-  too_wide.worker_threads = 65;
-  EXPECT_TRUE(exec::ValidateExecConfig(too_wide).IsInvalidArgument());
 }
 
 core::GhostDBConfig TinyConfig() {
